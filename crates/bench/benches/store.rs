@@ -6,7 +6,12 @@ use st_bench::synth::{generate, SynthSpec};
 use st_model::Micros;
 use st_query::pushdown::{read_pruned, ColumnSet};
 use st_query::Predicate;
-use st_store::StoreReader;
+use st_store::{BytesSegment, SegmentReader};
+
+/// Opens an in-memory image through the one v2 reader.
+fn open(bytes: &bytes::Bytes) -> SegmentReader {
+    SegmentReader::from_source(std::sync::Arc::new(BytesSegment::new(bytes.clone()))).unwrap()
+}
 
 fn bench_store(c: &mut Criterion) {
     let mut group = c.benchmark_group("store");
@@ -23,42 +28,16 @@ fn bench_store(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("serialize", events), &log, |b, log| {
             b.iter(|| st_store::to_bytes(log).unwrap().len())
         });
-        // The frozen v1 encoder, kept benchmarked so the single-buffer
-        // rework of the writer hot loop stays measured against it.
-        group.bench_with_input(BenchmarkId::new("serialize_v1", events), &log, |b, log| {
-            b.iter(|| st_store::to_bytes_v1(log).unwrap().len())
-        });
         let bytes = st_store::to_bytes(&log).unwrap();
         group.bench_with_input(
             BenchmarkId::new("deserialize", events),
             &bytes,
-            |b, bytes| {
-                b.iter(|| {
-                    StoreReader::from_bytes(bytes.clone())
-                        .unwrap()
-                        .read()
-                        .unwrap()
-                        .total_events()
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("filtered_read", events),
-            &bytes,
-            |b, bytes| {
-                b.iter(|| {
-                    StoreReader::from_bytes(bytes.clone())
-                        .unwrap()
-                        .read_filtered("/dir3")
-                        .unwrap()
-                        .total_events()
-                })
-            },
+            |b, bytes| b.iter(|| open(bytes).read().unwrap().total_events()),
         );
         // Zone-map pushdown on a narrow time slice of an opened reader
         // (the directory parse happens once at open, like a real
         // inspection session).
-        let reader = StoreReader::from_bytes(bytes.clone()).unwrap();
+        let reader = open(&bytes);
         let window = Predicate::TimeWindow {
             from: Micros(0),
             to: Micros(500),

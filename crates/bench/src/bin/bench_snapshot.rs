@@ -29,7 +29,7 @@ use st_core::prelude::*;
 use st_model::{Case, CaseMeta, EventLog, Interner, Micros};
 use st_query::pushdown::{read_pruned, read_pruned_par, ColumnSet};
 use st_query::{parse_expr, scan, scan_par, Predicate};
-use st_store::{SegmentReader, StoreBuilder, StoreReader};
+use st_store::{BytesSegment, SegmentReader, StoreBuilder};
 use st_strace::{parse_par, parse_reader, parse_str};
 
 /// Reference DFG accumulation the dense path replaced: one ordered-map
@@ -245,7 +245,13 @@ fn main() {
     };
     let store_bytes =
         st_store::to_bytes_blocked(&pd_log, pd_block_events).expect("serialize store");
-    let reader = StoreReader::from_bytes(store_bytes.clone()).expect("open store");
+    // The pushdown section reads an in-memory image through the same
+    // reader the out-of-core section reads files with.
+    let open_image = |image: &bytes::Bytes| {
+        SegmentReader::from_source(std::sync::Arc::new(BytesSegment::new(image.clone())))
+            .expect("open store")
+    };
+    let reader = open_image(&store_bytes);
     let t0 = pd_log.earliest_start().unwrap_or(Micros::ZERO);
     let t_end = pd_log
         .iter_events()
@@ -330,9 +336,9 @@ fn main() {
     // blocks, not the container. Blocks smaller than the pushdown
     // section's default give the 0.1% window block-level resolution
     // (the fraction of the file read is the headline number). The
-    // streaming writer is measured by the same workload: wall time vs
-    // the resident writer, plus its encode-buffer high-water mark (the
-    // working memory that replaces the full image).
+    // streaming writer is measured by the same workload: wall time plus
+    // its encode-buffer high-water mark (the working memory that
+    // replaces the full image).
     let ooc_block_events = 512usize;
     let ooc_dir = std::env::temp_dir().join(format!("st-bench-ooc-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&ooc_dir);
@@ -350,13 +356,6 @@ fn main() {
         builder.finish().expect("publish container");
         peak
     });
-    let (resident_write_dt, _) = time_best(reps, || {
-        let image = st_store::to_bytes_blocked(&pd_log, ooc_block_events).expect("serialize");
-        st_store::write_atomic(&ooc_path, &image).expect("write image");
-        image.len()
-    });
-    // The streamed and resident containers are the same bytes; reuse
-    // the streamed file for the read side.
     let ooc_file_len = std::fs::metadata(&ooc_path).expect("container meta").len();
     let mut ooc_rows = Vec::new();
     for (label, pred) in [
@@ -389,10 +388,9 @@ fn main() {
         ));
     }
     eprintln!(
-        "ooc write: streamed {:.1} ms (peak buffer {} bytes) vs resident {:.1} ms ({} byte container)",
+        "ooc write: streamed {:.1} ms (peak buffer {} bytes, {} byte container)",
         stream_write_dt.as_nanos() as f64 / 1e6,
         peak_buffer,
-        resident_write_dt.as_nanos() as f64 / 1e6,
         ooc_file_len,
     );
     let _ = std::fs::remove_dir_all(&ooc_dir);
@@ -482,12 +480,16 @@ fn main() {
     // flip in the first block body — the same fault the CLI salvage
     // matrix row pins) and measures the recovery decode.
     let (strict_dt, strict_events) = time_best(reps, || {
-        let reader = StoreReader::from_bytes(store_bytes.clone()).expect("strict open");
-        reader.read().expect("strict read").total_events()
+        open_image(&store_bytes)
+            .read()
+            .expect("strict read")
+            .total_events()
     });
     assert_eq!(strict_events, pd_events);
     let (salv_clean_dt, clean_events) = time_best(reps, || {
-        let salvaged = st_store::salvage_bytes(store_bytes.clone()).expect("salvage clean");
+        let salvaged =
+            st_store::salvage_source(std::sync::Arc::new(BytesSegment::new(store_bytes.clone())))
+                .expect("salvage clean");
         assert!(salvaged.report.is_clean());
         salvaged.reader.read().expect("vetted read").total_events()
     });
@@ -506,7 +508,10 @@ fn main() {
         bytes::Bytes::from(image)
     };
     let (salv_bad_dt, degraded) = time_best(reps, || {
-        let salvaged = st_store::salvage_bytes(corrupt_image.clone()).expect("salvage degraded");
+        let salvaged = st_store::salvage_source(std::sync::Arc::new(BytesSegment::new(
+            corrupt_image.clone(),
+        )))
+        .expect("salvage degraded");
         let recovered = salvaged.reader.read().expect("vetted read").total_events();
         assert_eq!(recovered as u64, salvaged.report.events_recovered);
         (
@@ -573,11 +578,10 @@ fn main() {
             session_dt.as_nanos() as f64 / 1e6,
         );
         source_rows.push(format!(
-            "{{\"kind\": \"{kind}\", \"open_ns\": {}, \"session_ns\": {}, \"events\": {matched}, \"supports_pushdown\": {}, \"supports_seek\": {}}}",
+            "{{\"kind\": \"{kind}\", \"open_ns\": {}, \"session_ns\": {}, \"events\": {matched}, \"supports_pushdown\": {}}}",
             open_dt.as_nanos(),
             session_dt.as_nanos(),
             source.supports_pushdown(),
-            source.supports_seek(),
         ));
     }
     let _ = std::fs::remove_dir_all(&src_dir);
@@ -749,7 +753,7 @@ fn main() {
     st_obs::reset();
 
     let json = format!(
-        "{{\n  \"quick\": {quick},\n  \"cores\": {cores},\n  \"parse\": {{\n    \"lines\": {parse_lines},\n    \"seq_ns\": {},\n    \"lines_per_sec\": {lines_per_sec:.1},\n    \"events_per_sec\": {lines_per_sec:.1},\n    \"reader_baseline_ns\": {},\n    \"thread_sweep\": [\n      {}\n    ]\n  }},\n  \"mapping\": {{\n    \"events\": {n_events},\n    \"apply_ns_per_event\": {:.3},\n    \"apply_unmemo_ns_per_event\": {:.3},\n    \"memo_speedup\": {memo_speedup:.4}\n  }},\n  \"dfg\": {{\n    \"events\": {n_events},\n    \"build_ns_per_event\": {build_ns_per_event:.3},\n    \"build_par4_ns_per_event\": {:.3},\n    \"btreemap_reference_ns_per_event\": {:.3},\n    \"dense_speedup_vs_btreemap\": {dense_speedup:.4},\n    \"edge_observations\": {edge_obs}\n  }},\n  \"query\": {{\n    \"events\": {n_events},\n    \"scan_pass_all_ns_per_event\": {:.3},\n    \"scan_pass_all_events_per_sec\": {scan_all_eps:.1},\n    \"scan_selective_ns_per_event\": {:.3},\n    \"scan_selective_events_per_sec\": {scan_sel_eps:.1},\n    \"selective_matched\": {sel_matched},\n    \"scan_pass_all_par4_ns_per_event\": {:.3}\n  }},\n  \"pushdown\": {{\n    \"events\": {pd_events},\n    \"store_bytes\": {},\n    \"block_events\": {},\n    \"selectivities\": [\n      {}\n    ]\n  }},\n  \"ooc\": {{\n    \"events\": {pd_events},\n    \"block_events\": {ooc_block_events},\n    \"file_bytes\": {ooc_file_len},\n    \"streaming_write_ns\": {},\n    \"resident_write_ns\": {},\n    \"peak_buffer_bytes\": {peak_buffer},\n    \"selectivities\": [\n      {}\n    ]\n  }},\n  \"requery\": {{\n    \"events\": {pd_events},\n    \"block_events\": {ooc_block_events},\n    \"matched\": {rq_cold_matched},\n    \"broad_matched\": {rq_broad_matched},\n    \"cold_ns\": {rq_cold_ns},\n    \"warm_ns\": {rq_warm_ns},\n    \"speedup\": {rq_speedup:.4},\n    \"cache_hits\": {rq_hits},\n    \"cache_misses\": {rq_misses},\n    \"hit_rate\": {rq_hit_rate:.4},\n    \"cache_resident_bytes\": {rq_resident},\n    \"warm_disk_bytes_read\": {rq_disk},\n    \"cold_ns_per_matched_event\": {rq_cold_npe:.1},\n    \"warm_ns_per_matched_event\": {rq_warm_npe:.1},\n    \"sched\": \"{rq_sched}\"\n  }},\n  \"salvage\": {{\n    \"events\": {pd_events},\n    \"strict_read_ns\": {},\n    \"clean_salvage_ns\": {},\n    \"clean_overhead_vs_strict\": {salvage_overhead:.4},\n    \"degraded_read_ns\": {},\n    \"degraded_events_recovered\": {},\n    \"degraded_blocks_recovered\": {},\n    \"blocks_total\": {}\n  }},\n  \"obs\": {{\n    \"lines\": {parse_lines},\n    \"disabled_ns\": {},\n    \"enabled_ns\": {},\n    \"enabled_over_disabled\": {obs_ratio:.4}\n  }},\n  \"serve\": [\n    {}\n  ],\n  \"source_open\": [\n    {}\n  ]\n}}\n",
+        "{{\n  \"quick\": {quick},\n  \"cores\": {cores},\n  \"parse\": {{\n    \"lines\": {parse_lines},\n    \"seq_ns\": {},\n    \"lines_per_sec\": {lines_per_sec:.1},\n    \"events_per_sec\": {lines_per_sec:.1},\n    \"reader_baseline_ns\": {},\n    \"thread_sweep\": [\n      {}\n    ]\n  }},\n  \"mapping\": {{\n    \"events\": {n_events},\n    \"apply_ns_per_event\": {:.3},\n    \"apply_unmemo_ns_per_event\": {:.3},\n    \"memo_speedup\": {memo_speedup:.4}\n  }},\n  \"dfg\": {{\n    \"events\": {n_events},\n    \"build_ns_per_event\": {build_ns_per_event:.3},\n    \"build_par4_ns_per_event\": {:.3},\n    \"btreemap_reference_ns_per_event\": {:.3},\n    \"dense_speedup_vs_btreemap\": {dense_speedup:.4},\n    \"edge_observations\": {edge_obs}\n  }},\n  \"query\": {{\n    \"events\": {n_events},\n    \"scan_pass_all_ns_per_event\": {:.3},\n    \"scan_pass_all_events_per_sec\": {scan_all_eps:.1},\n    \"scan_selective_ns_per_event\": {:.3},\n    \"scan_selective_events_per_sec\": {scan_sel_eps:.1},\n    \"selective_matched\": {sel_matched},\n    \"scan_pass_all_par4_ns_per_event\": {:.3}\n  }},\n  \"pushdown\": {{\n    \"events\": {pd_events},\n    \"store_bytes\": {},\n    \"block_events\": {},\n    \"selectivities\": [\n      {}\n    ]\n  }},\n  \"ooc\": {{\n    \"events\": {pd_events},\n    \"block_events\": {ooc_block_events},\n    \"file_bytes\": {ooc_file_len},\n    \"streaming_write_ns\": {},\n    \"peak_buffer_bytes\": {peak_buffer},\n    \"selectivities\": [\n      {}\n    ]\n  }},\n  \"requery\": {{\n    \"events\": {pd_events},\n    \"block_events\": {ooc_block_events},\n    \"matched\": {rq_cold_matched},\n    \"broad_matched\": {rq_broad_matched},\n    \"cold_ns\": {rq_cold_ns},\n    \"warm_ns\": {rq_warm_ns},\n    \"speedup\": {rq_speedup:.4},\n    \"cache_hits\": {rq_hits},\n    \"cache_misses\": {rq_misses},\n    \"hit_rate\": {rq_hit_rate:.4},\n    \"cache_resident_bytes\": {rq_resident},\n    \"warm_disk_bytes_read\": {rq_disk},\n    \"cold_ns_per_matched_event\": {rq_cold_npe:.1},\n    \"warm_ns_per_matched_event\": {rq_warm_npe:.1},\n    \"sched\": \"{rq_sched}\"\n  }},\n  \"salvage\": {{\n    \"events\": {pd_events},\n    \"strict_read_ns\": {},\n    \"clean_salvage_ns\": {},\n    \"clean_overhead_vs_strict\": {salvage_overhead:.4},\n    \"degraded_read_ns\": {},\n    \"degraded_events_recovered\": {},\n    \"degraded_blocks_recovered\": {},\n    \"blocks_total\": {}\n  }},\n  \"obs\": {{\n    \"lines\": {parse_lines},\n    \"disabled_ns\": {},\n    \"enabled_ns\": {},\n    \"enabled_over_disabled\": {obs_ratio:.4}\n  }},\n  \"serve\": [\n    {}\n  ],\n  \"source_open\": [\n    {}\n  ]\n}}\n",
         seq_dt.as_nanos(),
         reader_dt.as_nanos(),
         sweep_rows.join(",\n      "),
@@ -764,7 +768,6 @@ fn main() {
         pd_block_events,
         pd_rows.join(",\n      "),
         stream_write_dt.as_nanos(),
-        resident_write_dt.as_nanos(),
         ooc_rows.join(",\n      "),
         strict_dt.as_nanos(),
         salv_clean_dt.as_nanos(),

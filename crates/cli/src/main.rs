@@ -1208,21 +1208,20 @@ fn cmd_fsck(tokens: &[String]) -> ExitCode {
         return ExitCode::from(2);
     };
     // Vet through the seek reader so fsck never slurps the container:
-    // each block is fetched by its exact extent. v1 containers have no
-    // directory to seek through — those fall back to the resident
-    // salvage reader.
+    // each block is fetched by its exact extent. A v1 container has no
+    // blocks to vet; it is graded by a strict decode.
     let path = std::path::Path::new(&store);
-    let report = match st_store::open_salvage_seek(path) {
-        Ok(s) => s.report,
-        Err(st_store::StoreError::Corrupt(st_store::CorruptKind::V1Seek)) => {
-            match st_store::open_salvage(path) {
-                Ok(s) => s.report,
-                Err(e) => {
-                    eprintln!("stinspect: fsck: {store}: unreadable: {e}");
-                    return ExitCode::from(4);
-                }
+    let report = st_store::open_salvage_seek(path)
+        .map(|salvaged| salvaged.report)
+        .or_else(|e| match e {
+            st_store::StoreError::Corrupt(st_store::CorruptKind::V1Seek) => {
+                st_store::legacy::read_v1(path)
+                    .map(|log| st_store::SalvageReport::clean_v1(log.total_events() as u64))
             }
-        }
+            e => Err(e),
+        });
+    let report = match report {
+        Ok(report) => report,
         Err(e) => {
             eprintln!("stinspect: fsck: {store}: unreadable: {e}");
             return ExitCode::from(4);

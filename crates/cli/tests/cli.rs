@@ -982,7 +982,10 @@ fn diff_pushes_filters_into_v2_stores() {
     // for the zone maps to discriminate. Paper-scale stores carry many
     // blocks per case; 64-event blocks model that here.
     {
-        let log = st_store::StoreReader::open(&store).unwrap().read().unwrap();
+        let log = st_store::SegmentReader::open(&store)
+            .unwrap()
+            .read()
+            .unwrap();
         std::fs::write(&store, st_store::to_bytes_blocked(&log, 64).unwrap()).unwrap();
     }
     let argv = |extra: &[&str]| {

@@ -93,10 +93,10 @@ enum PNode {
 
 impl PrunePlan {
     /// Lowers `pred` against the reader's string table and directory.
-    /// Works over any [`BlockRead`] — the resident `StoreReader` and
-    /// the out-of-core `SegmentReader` compile to the same plan.
+    /// Works over any [`BlockRead`] (the `SegmentReader`, or a caching
+    /// wrapper around it).
     ///
-    /// Returns `None` for v1 containers (no directory, nothing to push
+    /// Returns `None` for a reader without a directory (nothing to push
     /// into).
     pub fn compile<R: BlockRead + ?Sized>(pred: &Predicate, reader: &R) -> Option<PrunePlan> {
         let directory = reader.directory()?;
@@ -428,16 +428,15 @@ pub struct PushdownStats {
     pub bytes_decoded: u64,
     /// The reader's cumulative fetch counter after this read
     /// ([`BlockRead::bytes_read`]): bytes fetched from the underlying
-    /// medium since the reader was opened. A resident reader reports
-    /// its whole image regardless of pruning; a seek reader over a
-    /// fresh open reports head bytes plus exactly the surviving block
-    /// extents — the out-of-core win `bytes_decoded` alone cannot show.
+    /// medium since the reader was opened: over a fresh open, head
+    /// bytes plus exactly the surviving block extents — the out-of-core
+    /// win `bytes_decoded` alone cannot show.
     pub bytes_read: u64,
 }
 
 /// Result of [`read_pruned`]: the matching events as an owned log (the
 /// interner reproduces the container's symbol ids, exactly like
-/// [`st_store::StoreReader::read`]) plus the pruning accounting.
+/// [`st_store::SegmentReader::read`]) plus the pruning accounting.
 #[derive(Debug)]
 pub struct PrunedRead {
     /// Cases holding exactly the matching events, in container order;
@@ -577,12 +576,12 @@ fn decode_work_into<R: BlockRead + ?Sized>(
 /// onto `emit ∪ required ∪ identity` columns, with neutral defaults
 /// elsewhere. Pass [`ColumnSet::ALL`] for full-fidelity events.
 ///
-/// Works over any [`BlockRead`]: a resident `StoreReader` skips only
-/// decode work, an out-of-core `SegmentReader` additionally never
-/// fetches a pruned block's bytes from disk.
+/// Works over any [`BlockRead`]; a `SegmentReader` never fetches a
+/// pruned block's bytes from its source.
 ///
-/// Fails with [`StoreError::Corrupt`] on v1 containers (no directory);
-/// callers fall back to `StoreReader::read` + [`crate::scan`] there.
+/// Fails with [`StoreError::Corrupt`] on a reader without a directory
+/// (v1 containers decode through `st_store::legacy` and are scanned
+/// with [`crate::scan`] instead).
 pub fn read_pruned<R: BlockRead + ?Sized>(
     reader: &R,
     pred: &Predicate,
@@ -807,7 +806,7 @@ mod tests {
     use super::*;
     use crate::{parse_expr, scan};
     use st_model::{Event, Pid};
-    use st_store::{to_bytes_blocked, StoreReader};
+    use st_store::{to_bytes_blocked, BytesSegment, SegmentReader};
     use std::sync::Arc;
 
     /// Two cases, time-ordered, with distinct path/pid/ok phases so
@@ -852,8 +851,9 @@ mod tests {
         log
     }
 
-    fn reader(block_events: usize) -> StoreReader {
-        StoreReader::from_bytes(to_bytes_blocked(&sample(), block_events).unwrap()).unwrap()
+    fn reader(block_events: usize) -> SegmentReader {
+        let image = to_bytes_blocked(&sample(), block_events).unwrap();
+        SegmentReader::from_source(Arc::new(BytesSegment::new(image))).unwrap()
     }
 
     fn check_equals_scan(expr: &str, block_events: usize) -> PushdownStats {
@@ -932,10 +932,11 @@ mod tests {
         for expr in ["true", "path~\"*.h5\"", "ok=false", "cid=a or class=write"] {
             let pred = parse_expr(expr).unwrap();
             for blocks in [1, 7, 64] {
-                let r = reader(blocks);
-                let seq = read_pruned(&r, &pred, ColumnSet::ALL).unwrap();
+                // A fresh reader per run: `bytes_read` is cumulative.
+                let seq = read_pruned(&reader(blocks), &pred, ColumnSet::ALL).unwrap();
                 for threads in [2, 3, 8] {
-                    let par = read_pruned_par(&r, &pred, ColumnSet::ALL, threads).unwrap();
+                    let par =
+                        read_pruned_par(&reader(blocks), &pred, ColumnSet::ALL, threads).unwrap();
                     assert_eq!(seq.log.cases(), par.log.cases(), "{expr} x{threads}");
                     assert_eq!(
                         format!("{:?}", seq.stats),
@@ -980,10 +981,9 @@ mod tests {
 
     #[test]
     fn auto_schedule_records_decision_and_matches_explicit() {
-        let r = reader(10);
         let pred = parse_expr("true").unwrap();
-        let auto = read_pruned_par(&r, &pred, ColumnSet::ALL, 0).unwrap();
-        let seq = read_pruned(&r, &pred, ColumnSet::ALL).unwrap();
+        let auto = read_pruned_par(&reader(10), &pred, ColumnSet::ALL, 0).unwrap();
+        let seq = read_pruned(&reader(10), &pred, ColumnSet::ALL).unwrap();
         assert_eq!(auto.log.cases(), seq.log.cases());
         assert_eq!(format!("{:?}", auto.stats), format!("{:?}", seq.stats));
         // The decision is recorded with a reason either way; this tiny
@@ -995,9 +995,8 @@ mod tests {
             "{}",
             auto.sched.reason
         );
-        let est: u64 = r
+        let est: u64 = reader(10)
             .directory()
-            .unwrap()
             .iter()
             .flat_map(|c| &c.blocks)
             .map(|b| estimated_decode_bytes(b, ColumnSet::ALL))
@@ -1012,8 +1011,8 @@ mod tests {
         // vetted directory, so pruning must agree exactly with a scan of
         // the salvage-recovered log — never resurrecting lost events.
         let image = to_bytes_blocked(&sample(), 10).unwrap();
-        let pristine = StoreReader::from_bytes(image.clone()).unwrap();
-        let dir = pristine.directory().unwrap();
+        let pristine = reader(10);
+        let dir = pristine.directory();
         let victim = &dir[0].blocks[1];
         let blocks_len: usize = dir
             .iter()
@@ -1027,7 +1026,7 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("st-query-salvage-{}.stlog", std::process::id()));
         std::fs::write(&path, &damaged).unwrap();
-        let salvaged = st_store::open_salvage(&path).unwrap();
+        let salvaged = st_store::open_salvage_seek(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         assert_eq!(salvaged.report.losses.len(), 1);
         let recovered = salvaged.reader.read().unwrap();
@@ -1041,49 +1040,6 @@ mod tests {
                     read_pruned_par(&salvaged.reader, &pred, ColumnSet::ALL, threads).unwrap();
                 assert_eq!(pruned.log.cases(), reference.cases(), "{expr} x{threads}");
                 assert_eq!(pruned.stats.events_total, 70, "{expr}");
-            }
-        }
-    }
-
-    #[test]
-    fn seek_reader_produces_identical_pruned_reads() {
-        use st_store::{BytesSegment, SegmentReader};
-        let image = to_bytes_blocked(&sample(), 10).unwrap();
-        let resident = StoreReader::from_bytes(image.clone()).unwrap();
-        for expr in ["true", "path~\"*.h5\"", "cid=a", "ok=false", "t=[0s,1ms)"] {
-            let pred = parse_expr(expr).unwrap();
-            let reference = read_pruned(&resident, &pred, ColumnSet::ALL).unwrap();
-            for threads in [1, 4] {
-                // Fresh reader per run so bytes_read is exactly this
-                // query's fetches (head + surviving extents).
-                let seek =
-                    SegmentReader::from_source(Arc::new(BytesSegment::new(image.clone()))).unwrap();
-                let pruned = read_pruned_par(&seek, &pred, ColumnSet::ALL, threads).unwrap();
-                assert_eq!(
-                    reference.log.cases(),
-                    pruned.log.cases(),
-                    "{expr} x{threads}"
-                );
-                assert_eq!(
-                    reference.stats.blocks_pruned, pruned.stats.blocks_pruned,
-                    "{expr}"
-                );
-                assert_eq!(
-                    reference.stats.bytes_decoded, pruned.stats.bytes_decoded,
-                    "{expr}"
-                );
-                // The resident reader charges the whole image; the seek
-                // reader at most that (strictly less when blocks prune).
-                assert!(
-                    pruned.stats.bytes_read <= reference.stats.bytes_read,
-                    "{expr}"
-                );
-                if pruned.stats.blocks_pruned > 0 {
-                    assert!(
-                        pruned.stats.bytes_read < reference.stats.bytes_read,
-                        "{expr}: pruning must save disk bytes"
-                    );
-                }
             }
         }
     }
@@ -1125,11 +1081,35 @@ mod tests {
     }
 
     #[test]
-    fn v1_containers_are_refused() {
-        let log = sample();
-        let r = StoreReader::from_bytes(st_store::to_bytes_v1(&log).unwrap()).unwrap();
+    fn readers_without_a_directory_are_refused() {
+        /// A reader that hides its directory, as a v1 container would.
+        struct NoDirectory(SegmentReader);
+        impl BlockRead for NoDirectory {
+            fn strings(&self) -> &[String] {
+                self.0.strings()
+            }
+            fn directory(&self) -> Option<&[st_store::CaseDir]> {
+                None
+            }
+            fn decode_block(
+                &self,
+                block: &st_store::BlockDir,
+                cols: ColumnSet,
+                out: &mut Vec<st_model::Event>,
+            ) -> Result<usize, StoreError> {
+                self.0.decode_block(block, cols, out)
+            }
+            fn bytes_read(&self) -> u64 {
+                self.0.bytes_read()
+            }
+        }
+        let r = NoDirectory(reader(10));
         assert!(PrunePlan::compile(&Predicate::True, &r).is_none());
-        assert!(read_pruned(&r, &Predicate::True, ColumnSet::ALL).is_err());
+        let err = read_pruned(&r, &Predicate::True, ColumnSet::ALL).unwrap_err();
+        assert!(
+            matches!(err, StoreError::Corrupt(st_store::CorruptKind::V1Pushdown)),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -1154,7 +1134,7 @@ mod tests {
                 snapshot: &snapshot,
                 t0: full.earliest_start().unwrap_or(Micros::ZERO),
             };
-            for (case_idx, case) in r.directory().unwrap().iter().enumerate() {
+            for (case_idx, case) in r.directory().iter().enumerate() {
                 let meta = full.cases()[case_idx].meta;
                 for block in &case.blocks {
                     let mut events = Vec::new();

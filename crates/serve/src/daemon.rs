@@ -582,10 +582,13 @@ fn handle_ingest(
                 }),
         }
     };
-    shared.streams_sealed.fetch_add(1, Ordering::SeqCst);
-    st_obs::add("serve.streams_sealed", 1);
     match seal_result {
         Ok(()) => {
+            // Count only seals that reached a published checkpoint (or
+            // are pending the next one), so `/status` never reports a
+            // stream that failed to seal.
+            shared.streams_sealed.fetch_add(1, Ordering::SeqCst);
+            st_obs::add("serve.streams_sealed", 1);
             let body = format!(
                 "ingested {} events ({} warnings) from {} lines\n",
                 parsed.events.len(),

@@ -292,8 +292,59 @@ fn graceful_shutdown_leaves_fsck_clean_store() {
     // The finished container is clean end to end and holds every case.
     let salvaged = st_store::open_salvage_seek(&store).unwrap();
     assert!(salvaged.report.is_clean(), "{:?}", salvaged.report);
-    let reader = st_store::StoreReader::open(&store).unwrap();
+    let reader = st_store::SegmentReader::open(&store).unwrap();
     assert_eq!(reader.read().unwrap().cases().len(), 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `streams_sealed=N` figure of a `/status` body.
+fn status_streams_sealed(addr: SocketAddr) -> u64 {
+    let (status, _, body) = get(addr, "/status");
+    assert_eq!(status, 200);
+    let body = String::from_utf8(body).unwrap();
+    body.split_ascii_whitespace()
+        .find_map(|kv| kv.strip_prefix("streams_sealed="))
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no streams_sealed in {body:?}"))
+}
+
+#[test]
+fn failed_checkpoint_is_not_counted_as_sealed() {
+    let dir = tempdir("ckpt-fail");
+    let store = dir.join("live.stlog2");
+    let handle = Daemon::start(ServeConfig::new(&store)).unwrap();
+    let addr = handle.addr();
+
+    let (status, _) = ingest_chunked(addr, "ok_hostA_7100.st", &stream_text(0, 25));
+    assert_eq!(status, 200);
+    assert_eq!(status_streams_sealed(addr), 1);
+
+    // Force every later checkpoint to fail: the builder's spill file
+    // vanishes, so the splice step of the publish cannot open it.
+    // (Removing write permission on the directory would not bind a
+    // privileged test runner; a missing spill fails for everyone.)
+    let spill = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.to_string_lossy().contains(".spill."))
+        .expect("the builder keeps a spill beside the store");
+    std::fs::remove_file(&spill).unwrap();
+    let (status, body) = ingest_chunked(addr, "lost_hostA_7101.st", &stream_text(1, 25));
+    assert_ne!(status, 200, "{}", String::from_utf8_lossy(&body));
+    let sealed = status_streams_sealed(addr);
+    assert_eq!(sealed, 1, "a failed seal must not be counted");
+
+    handle.shutdown();
+    assert!(
+        handle.join().is_err(),
+        "the final seal cannot succeed either"
+    );
+
+    // The last published checkpoint is intact, and `/status` counted
+    // exactly the cases it holds.
+    let fsck = st_store::open_salvage_seek(&store).unwrap();
+    assert!(fsck.report.is_clean(), "{:?}", fsck.report);
+    assert_eq!(fsck.report.cases as u64, sealed);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -104,12 +104,10 @@ pub enum CorruptKind {
     },
     /// A column segment reaches outside its block body.
     SegmentOutOfBounds,
-    /// Block decode was requested on a v1 container (v1 has no blocks).
-    V1BlockDecode,
     /// Predicate pushdown was requested on a v1 container (v1 has no
     /// block directory).
     V1Pushdown,
-    /// A seek (out-of-core) open was requested on a v1 container (v1
+    /// A v1 container was handed to the v2 reader or to salvage (v1
     /// has no block directory to seek through).
     V1Seek,
     /// A case's events were not start-sorted at write time.
@@ -150,7 +148,6 @@ impl fmt::Display for CorruptKind {
             }
             CorruptKind::BlockOutOfBounds { .. } => write!(f, "block extent out of bounds"),
             CorruptKind::SegmentOutOfBounds => write!(f, "column segment out of bounds"),
-            CorruptKind::V1BlockDecode => write!(f, "block decode requested on a v1 container"),
             CorruptKind::V1Pushdown => write!(
                 f,
                 "predicate pushdown requires a v2 container (v1 has no block directory)"

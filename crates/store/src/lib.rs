@@ -49,26 +49,31 @@
 //! silently wrong analyses.
 //!
 //! The legacy **STLOG v1** layout (flat whole-case columns, varint
-//! section framing, magic `STLOG1`) is still read byte-for-byte
-//! identically through the same [`StoreReader`]; [`to_bytes_v1`] keeps
-//! the v1 encoder available for fixtures and compatibility tests.
-//! Unknown future versions fail with
+//! section framing, magic `STLOG1`) still decodes byte-for-byte
+//! identically through [`legacy::read_v1`], straight to an event log —
+//! it has no directory, so there is no reader handle to keep open;
+//! [`to_bytes_v1`] keeps the frozen encoder for fixtures and
+//! compatibility tests. Unknown future versions fail with
 //! [`StoreError::UnsupportedVersion`].
 //!
 //! Reading restores symbols in insertion order, so symbol identities are
 //! reproduced exactly and logs round-trip bit-identically.
 //!
-//! ## Out-of-core access
+//! ## One reader, one encoder
 //!
-//! [`StoreReader`] holds the whole image resident. For containers
-//! larger than RAM, [`SegmentReader`] (module [`segment`]) opens only
-//! the head and fetches block extents on demand, and [`StoreBuilder`]
-//! (module [`stream`]) writes a container case-by-case with bounded
-//! memory — the full byte image never exists on either path.
+//! [`SegmentReader`] (module [`segment`]) is the only v2 reader. It
+//! reads over a [`SegmentSource`] — a file through positioned reads
+//! ([`FileSegment`]) or an image already in memory ([`BytesSegment`]) —
+//! opening only the head and fetching block extents on demand, so a
+//! container never has to fit in RAM. The encoder (module [`writer`])
+//! has two thin drivers over one case encoder and one head encoder:
+//! [`to_bytes_blocked`] builds an image in memory, and [`StoreBuilder`]
+//! (module [`stream`]) streams a container to disk case-by-case with
+//! bounded memory.
 //!
 //! ## Failure model
 //!
-//! Strict opens ([`StoreReader::open`]) are all-or-nothing. The
+//! Strict opens ([`SegmentReader::open`]) are all-or-nothing. The
 //! [`salvage`] module recovers every event the per-block CRCs can vouch
 //! for from a damaged v2 container and reports what was lost
 //! ([`SalvageReport`]); [`write_store`] is atomic (temp + fsync +
@@ -80,10 +85,11 @@
 
 pub mod cache;
 pub mod crc;
+mod decode;
 pub mod error;
 pub mod faults;
 pub mod format;
-pub mod reader;
+pub mod legacy;
 pub mod salvage;
 pub mod segment;
 pub mod stream;
@@ -94,15 +100,13 @@ pub use cache::{BlockCache, CacheStats, CachedBlockRead, DEFAULT_CACHE_BUDGET};
 pub use error::{CorruptKind, StoreError};
 pub use faults::{Fault, FaultKind};
 pub use format::{BlockDir, CaseDir, ColumnSet, Decision, ZoneMap, DEFAULT_BLOCK_EVENTS};
-pub use reader::StoreReader;
+pub use legacy::to_bytes_v1;
 pub use salvage::{
-    open_salvage, open_salvage_seek, read_salvage, salvage_bytes, salvage_source, BlockLoss,
-    BlockLossReason, SalvageReport, Salvaged, SalvagedSeek, SectionHealth, Verdict,
+    open_salvage_seek, salvage_source, BlockLoss, BlockLossReason, SalvageReport, SalvagedSeek,
+    SectionHealth, Verdict,
 };
-#[cfg(unix)]
-pub use segment::MmapSegment;
 pub use segment::{
     BlockRead, BytesSegment, CountingSegment, FileSegment, IoCounters, SegmentReader, SegmentSource,
 };
 pub use stream::StoreBuilder;
-pub use writer::{to_bytes, to_bytes_blocked, to_bytes_v1, write_atomic, write_store};
+pub use writer::{to_bytes, to_bytes_blocked, write_atomic, write_store};

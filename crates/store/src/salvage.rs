@@ -1,8 +1,8 @@
 //! Salvage-mode container decoding: recover every event the checksums
 //! can vouch for instead of discarding a damaged file.
 //!
-//! The strict reader ([`StoreReader::from_bytes`]) is all-or-nothing by
-//! design — one flipped bit fails the whole open. At ingest scale torn
+//! The strict reader ([`SegmentReader`]) is all-or-nothing by design —
+//! one flipped bit fails the read. At ingest scale torn
 //! writes and bit rot are routine, and the v2 layout already carries
 //! everything needed to do better: a CRC per block, a CRC per section,
 //! and a directory that pins every block to an exact byte extent. The
@@ -26,40 +26,42 @@
 //!    into [`BlockLoss`] records; survivors form a new, smaller
 //!    directory over the *same* block bytes.
 //!
-//! The result is a [`StoreReader`] whose directory contains only vetted
-//! blocks, so every downstream path — [`StoreReader::read`], predicate
-//! pushdown, column projection — works unmodified and cannot fail on
-//! salvaged data, and pushdown skips quarantined blocks for free
+//! The result is a [`SegmentReader`] whose directory contains only
+//! vetted blocks, so every downstream path — [`SegmentReader::read`],
+//! predicate pushdown, column projection — works unmodified and cannot
+//! fail on salvaged data, and pushdown skips quarantined blocks for free
 //! (they are simply absent). Recovered events are decoded from
 //! untouched original bytes: salvage never invents or alters an event.
 //!
-//! v1 containers have section-wide CRCs only — no per-block framing —
-//! so salvage is all-or-nothing there: a clean v1 yields a clean
-//! report, a damaged one is unreadable.
+//! Vetting runs over a [`SegmentSource`], fetching each described
+//! block's extent individually — never the whole file — so fsck and
+//! salvage reads of a multi-GB container need RAM for its head and one
+//! block at a time. [`salvage_source`] is the one entry point;
+//! [`open_salvage_seek`] is its wrapper for a path, and an in-memory
+//! image goes through a [`crate::BytesSegment`].
 //!
-//! Vetting itself runs over a [`SegmentSource`], fetching each
-//! described block's extent individually — never the whole file. The
-//! resident entry points ([`salvage_bytes`], [`open_salvage`]) wrap an
-//! in-memory image in a [`crate::BytesSegment`]; the out-of-core entry
-//! points ([`open_salvage_seek`], [`salvage_source`]) run the same core
-//! over a file and hand back a [`SegmentReader`], so fsck and salvage
-//! reads of a multi-GB container need RAM for its head and one block
-//! at a time, not its bytes.
+//! v1 containers have section-wide CRCs only — no per-block framing and
+//! no directory — so there is nothing to salvage: [`salvage_source`]
+//! refuses them with [`CorruptKind::V1Seek`], and callers decode them
+//! strictly ([`crate::legacy::read_v1`]) and describe a success with
+//! [`SalvageReport::clean_v1`].
 
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use st_model::EventLog;
 
 use crate::crc::{crc32, Crc32};
+use crate::decode::{decode_block_bytes, decode_strings};
 use crate::error::{CorruptKind, StoreError};
 use crate::format::{CaseDir, ColumnSet, NCOLS};
-use crate::reader::{decode_block_bytes, decode_strings, StoreReader};
-use crate::segment::{read_section_at, BytesSegment, FileSegment, SegmentReader, SegmentSource};
+use crate::legacy::VERSION_V1;
+use crate::segment::{
+    check_header, fetch_section_at, read_section_at, FileSegment, SegmentReader, SegmentSource,
+};
 use crate::varint::get_u64;
-use crate::writer::{MAGIC_V1, MAGIC_V2, VERSION_V1, VERSION_V2};
+use crate::writer::VERSION_V2;
 
 /// Health of one container section after salvage inspection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,6 +194,27 @@ pub struct SalvageReport {
 }
 
 impl SalvageReport {
+    /// The report of a v1 container that decoded strictly into
+    /// `events` events: v1 has no blocks to quarantine, so a readable
+    /// v1 container is always clean (a damaged one is unreadable).
+    pub fn clean_v1(events: u64) -> SalvageReport {
+        SalvageReport {
+            version: VERSION_V1,
+            directory: SectionHealth::Intact,
+            blocks_section: SectionHealth::Intact,
+            cases: 0,
+            cases_lost: 0,
+            blocks_total: 0,
+            blocks_recovered: 0,
+            events_total: events,
+            events_recovered: events,
+            losses: Vec::new(),
+            orphan_blocks: 0,
+            orphan_bytes: 0,
+            unaccounted_bytes: 0,
+        }
+    }
+
     /// `true` when nothing was lost or suspect — strict mode would
     /// accept this container.
     pub fn is_clean(&self) -> bool {
@@ -218,7 +241,7 @@ impl SalvageReport {
     }
 
     /// The container's health verdict. Unreadable containers never get
-    /// a report — they surface as the `Err` of [`open_salvage`].
+    /// a report — they surface as the `Err` of [`salvage_source`].
     pub fn verdict(&self) -> Verdict {
         if self.is_clean() {
             Verdict::Clean
@@ -228,70 +251,11 @@ impl SalvageReport {
     }
 }
 
-/// A salvage-opened container: a [`StoreReader`] whose directory holds
-/// only vetted blocks, plus the report of what was lost.
-#[derive(Debug)]
-pub struct Salvaged {
-    /// Reader over the recovered subset; every standard read path
-    /// (full read, filtered read, predicate pushdown) works on it.
-    pub reader: StoreReader,
-    /// What was recovered, what was lost, and why.
-    pub report: SalvageReport,
-}
-
-/// Opens `path` in salvage mode. Errors only when the container is
-/// *unreadable* — bad magic, unsupported version, a damaged string
-/// table (v2), or any damage at all on a v1 container (v1 has no
-/// per-block CRCs to vouch for partial content).
-pub fn open_salvage(path: &Path) -> Result<Salvaged, StoreError> {
-    let _span = st_obs::span!("store.salvage.open");
-    let data = std::fs::read(path).map_err(|source| StoreError::Io {
-        path: path.to_path_buf(),
-        source,
-    })?;
-    st_obs::add("bytes_read", data.len() as u64);
-    salvage_bytes(Bytes::from(data))
-}
-
-/// Reads `path` in salvage mode: the recovered event log plus the loss
-/// report. The salvage sibling of [`StoreReader::read`].
-pub fn read_salvage(path: &Path) -> Result<(EventLog, SalvageReport), StoreError> {
-    let salvaged = open_salvage(path)?;
-    let log = salvaged.reader.read()?;
-    Ok((log, salvaged.report))
-}
-
-/// [`open_salvage`] over an in-memory image.
-pub fn salvage_bytes(data: Bytes) -> Result<Salvaged, StoreError> {
-    if data.len() < 12 {
-        return Err(StoreError::BadMagic);
-    }
-    let magic: [u8; 8] = data[..8].try_into().expect("length checked");
-    let version = u32::from_le_bytes(data[8..12].try_into().expect("length checked"));
-    match (&magic, version) {
-        (MAGIC_V1, VERSION_V1) => salvage_v1(data),
-        (MAGIC_V2, VERSION_V2) => {
-            let image_len = data.len() as u64;
-            let source: Arc<dyn SegmentSource> = Arc::new(BytesSegment::new(data.clone()));
-            let core = salvage_v2_core(&source)?;
-            let blocks = data
-                .slice(core.blocks_start as usize..(core.blocks_start + core.blocks_len) as usize);
-            Ok(Salvaged {
-                reader: StoreReader::assemble_v2(core.strings, core.entries, blocks, image_len),
-                report: core.report,
-            })
-        }
-        _ if magic.starts_with(b"STLOG") => Err(StoreError::UnsupportedVersion(version)),
-        _ => Err(StoreError::BadMagic),
-    }
-}
-
-/// A salvage-opened out-of-core container: a [`SegmentReader`] whose
-/// directory holds only vetted blocks, plus the loss report. The seek
-/// sibling of [`Salvaged`] — the container's bytes are never resident.
+/// A salvage-opened container: a [`SegmentReader`] whose directory
+/// holds only vetted blocks, plus the loss report.
 #[derive(Debug)]
 pub struct SalvagedSeek {
-    /// Seek reader over the recovered subset; every standard read path
+    /// Reader over the recovered subset; every standard read path
     /// (full read, predicate pushdown) works on it and fetches only the
     /// extents it touches.
     pub reader: SegmentReader,
@@ -304,105 +268,31 @@ pub struct SalvagedSeek {
 /// fetching exactly its extent, and the result is a [`SegmentReader`]
 /// over the vetted directory.
 ///
-/// v1 containers have no block directory to seek through and fail with
-/// [`CorruptKind::V1Seek`]; fall back to the resident [`open_salvage`]
-/// there.
+/// Errors only when the container is *unreadable* — bad magic,
+/// unsupported version, or a damaged string table — or is v1
+/// ([`CorruptKind::V1Seek`]; see the module docs).
 pub fn open_salvage_seek(path: &Path) -> Result<SalvagedSeek, StoreError> {
     salvage_source(Arc::new(FileSegment::open(path)?))
 }
 
-/// [`open_salvage_seek`] over any byte source — the injection point for
-/// the I/O-accounting tests, which wrap the source in a
+/// [`open_salvage_seek`] over any byte source — also the injection
+/// point for the I/O-accounting tests, which wrap the source in a
 /// [`crate::CountingSegment`] and assert salvage never slurps the file.
-pub fn salvage_source(source: Arc<dyn SegmentSource>) -> Result<SalvagedSeek, StoreError> {
-    if source.len() < 12 {
-        return Err(StoreError::BadMagic);
-    }
-    let head = source.read_at(0, 12)?;
-    let magic: [u8; 8] = head[..8].try_into().expect("12 bytes fetched");
-    let version = u32::from_le_bytes(head[8..12].try_into().expect("12 bytes fetched"));
-    match (&magic, version) {
-        (MAGIC_V2, VERSION_V2) => {}
-        (MAGIC_V1, VERSION_V1) => return Err(CorruptKind::V1Seek.into()),
-        _ if magic.starts_with(b"STLOG") => return Err(StoreError::UnsupportedVersion(version)),
-        _ => return Err(StoreError::BadMagic),
-    }
-    let core = salvage_v2_core(&source)?;
-    st_obs::add("bytes_read", core.fetched);
-    Ok(SalvagedSeek {
-        reader: SegmentReader::assemble(
-            source,
-            core.strings,
-            core.entries,
-            core.blocks_start,
-            core.blocks_len,
-            core.fetched,
-        ),
-        report: core.report,
-    })
-}
-
-/// v1 has whole-section CRCs only: any damage fails the strict open and
-/// the container is unreadable; a clean one reports clean.
-fn salvage_v1(data: Bytes) -> Result<Salvaged, StoreError> {
-    let reader = StoreReader::from_bytes(data)?;
-    // Count events the only way v1 allows: a full decode (the strict
-    // open already validated both section CRCs, so this cannot fail on
-    // format grounds).
-    let events = reader.read()?.total_events() as u64;
-    Ok(Salvaged {
-        reader,
-        report: SalvageReport {
-            version: VERSION_V1,
-            directory: SectionHealth::Intact,
-            blocks_section: SectionHealth::Intact,
-            cases: 0,
-            cases_lost: 0,
-            blocks_total: 0,
-            blocks_recovered: 0,
-            events_total: events,
-            events_recovered: events,
-            losses: Vec::new(),
-            orphan_blocks: 0,
-            orphan_bytes: 0,
-            unaccounted_bytes: 0,
-        },
-    })
-}
-
-/// What the source-driven v2 salvage core learned: the vetted parts a
-/// reader (resident or seek) is assembled from, plus the loss report
-/// and the bytes fetched while vetting.
-struct SalvageCore {
-    strings: Vec<String>,
-    entries: Vec<CaseDir>,
-    /// Absolute offset of the blocks region in the image.
-    blocks_start: u64,
-    /// Length of the blocks region actually present (claimed length
-    /// clamped to the bytes on hand).
-    blocks_len: u64,
-    /// Bytes fetched from the source during salvage (head + vetting +
-    /// orphan scan) — seeds the seek reader's fetch counter.
-    fetched: u64,
-    report: SalvageReport,
-}
-
-/// The v2 salvage walk over an arbitrary byte source. The caller has
-/// already verified the 12-byte magic/version header.
 ///
 /// Every fetch is an exact extent: head sections, then one fetch per
 /// described block for vetting, then one fetch of the tail past
 /// directory knowledge for the orphan scan. The whole image is never
 /// requested at once, so salvage of a store larger than RAM holds one
 /// block at a time.
-fn salvage_v2_core(source: &Arc<dyn SegmentSource>) -> Result<SalvageCore, StoreError> {
+pub fn salvage_source(source: Arc<dyn SegmentSource>) -> Result<SalvagedSeek, StoreError> {
+    check_header(&*source)?;
     let _span = st_obs::span!("store.salvage.vet");
     let total = source.len();
     let mut pos = 12u64;
 
     // 1. Strings: strictly. A container whose string table cannot be
     //    trusted resolves no cid, host, path or call name — unreadable.
-    let (strings_body, p) = read_section_at(&**source, pos, "strings")?;
+    let (strings_body, p) = read_section_at(&*source, pos, "strings")?;
     pos = p;
     let strings = decode_strings(strings_body)?;
 
@@ -410,7 +300,7 @@ fn salvage_v2_core(source: &Arc<dyn SegmentSource>) -> Result<SalvageCore, Store
     //    downgrades the directory instead of failing the open.
     let mut directory_health = SectionHealth::Intact;
     let dir_body =
-        read_section_tolerant_at(&**source, &mut pos, &mut directory_health)?.unwrap_or_default();
+        read_section_tolerant_at(&*source, &mut pos, &mut directory_health)?.unwrap_or_default();
 
     // 3. Blocks framing, tolerantly: clamp the claimed length to the
     //    bytes actually present; surplus bytes beyond the claim are
@@ -527,7 +417,7 @@ fn salvage_v2_core(source: &Arc<dyn SegmentSource>) -> Result<SalvageCore, Store
     //    the operator the data survived even if its index did not.
     //    This is the one fetch not bounded by a block: a damaged
     //    container's undescribed tail is read whole (on a clean one it
-    //    is empty), matching the resident scan byte-for-byte.
+    //    is empty).
     let tail_start = described_end.min(blocks_len);
     let tail_len = usize::try_from(blocks_len - tail_start)
         .map_err(|_| CorruptKind::SectionTooLarge { section: "blocks" })?;
@@ -557,47 +447,47 @@ fn salvage_v2_core(source: &Arc<dyn SegmentSource>) -> Result<SalvageCore, Store
     st_obs::add("blocks_vetted", blocks_total as u64);
     st_obs::add("blocks_lost", report.losses.len() as u64);
     st_obs::add("events_lost", events_total - events_recovered);
-    Ok(SalvageCore {
-        strings,
-        entries,
-        blocks_start,
-        blocks_len,
-        fetched,
+    st_obs::add("bytes_read", fetched);
+    Ok(SalvagedSeek {
+        reader: SegmentReader::assemble(
+            source,
+            strings,
+            entries,
+            blocks_start,
+            blocks_len,
+            fetched,
+        ),
         report,
     })
 }
 
-/// Reads a v2 section (8-byte LE length prefix, body, CRC-32 trailer)
-/// at `*pos` without failing the open: framing damage and CRC
-/// mismatches degrade `health` and yield whatever body bytes are
-/// present. `Err` is reserved for source I/O failures.
+/// Reads a v2 section at `*pos` without failing the open: framing
+/// damage and CRC mismatches degrade `health` and yield whatever body
+/// bytes are present. `Err` is reserved for source I/O failures.
 fn read_section_tolerant_at(
     source: &dyn SegmentSource,
     pos: &mut u64,
     health: &mut SectionHealth,
 ) -> Result<Option<Bytes>, StoreError> {
-    let total = source.len();
-    if total.saturating_sub(*pos) < 8 {
-        *health = SectionHealth::Damaged;
-        return Ok(None);
+    match fetch_section_at(source, *pos, "directory") {
+        Ok((body, next, crc_ok)) => {
+            *pos = next;
+            if !crc_ok {
+                *health = SectionHealth::Damaged;
+            }
+            Ok(Some(body))
+        }
+        Err(StoreError::Corrupt(_)) => {
+            // The prefix lies (or the file is cut). Nothing after it can
+            // be framed reliably; leave the rest for the blocks scan.
+            *health = SectionHealth::Damaged;
+            if source.len().saturating_sub(*pos) >= 8 {
+                *pos += 8;
+            }
+            Ok(None)
+        }
+        Err(e) => Err(e),
     }
-    let raw = source.read_at(*pos, 8)?;
-    *pos += 8;
-    let len = u64::from_le_bytes(raw[..8].try_into().expect("8 bytes fetched"));
-    if len.saturating_add(4) > total - *pos || usize::try_from(len).is_err() {
-        // The prefix lies (or the file is cut). Nothing after it can
-        // be framed reliably; leave the rest for the blocks scan.
-        *health = SectionHealth::Damaged;
-        return Ok(None);
-    }
-    let framed = source.read_at(*pos, len as usize + 4)?;
-    *pos += len + 4;
-    let body = framed.slice(0..len as usize);
-    let stored = u32::from_le_bytes(framed[len as usize..].try_into().expect("4 trailer bytes"));
-    if crc32(&body) != stored {
-        *health = SectionHealth::Damaged;
-    }
-    Ok(Some(body))
 }
 
 /// Parses directory entries best-effort: returns the claimed case count
@@ -675,17 +565,31 @@ fn scan_block_frames(region: &[u8]) -> (usize, u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{Fault, FaultKind};
-    use crate::writer::{tests::sample_log, to_bytes_blocked, to_bytes_v1};
+    use crate::faults::Fault;
+    use crate::legacy::to_bytes_v1;
+    use crate::writer::{tests::sample_log, to_bytes_blocked};
+    use crate::BytesSegment;
 
     fn v2_image() -> Vec<u8> {
         // Two events per block → 3 blocks for the 5-event sample.
         to_bytes_blocked(&sample_log(), 2).unwrap().to_vec()
     }
 
+    fn salvage(image: &[u8]) -> Result<SalvagedSeek, StoreError> {
+        salvage_source(Arc::new(BytesSegment::new(Bytes::from(image.to_vec()))))
+    }
+
+    /// The strict path: open plus a full read.
+    fn strict(image: &[u8]) -> Result<st_model::EventLog, StoreError> {
+        SegmentReader::from_source(Arc::new(BytesSegment::new(Bytes::from(image.to_vec()))))
+            .and_then(|r| r.read())
+    }
+
     fn block_extent(image: &[u8], case: usize, block: usize) -> (usize, usize) {
-        let reader = StoreReader::from_bytes(Bytes::from(image.to_vec())).unwrap();
-        let dir = reader.directory().unwrap();
+        let reader =
+            SegmentReader::from_source(Arc::new(BytesSegment::new(Bytes::from(image.to_vec()))))
+                .unwrap();
+        let dir = reader.directory();
         let b = &dir[case].blocks[block];
         let blocks_len: usize = dir
             .iter()
@@ -698,7 +602,7 @@ mod tests {
 
     #[test]
     fn pristine_container_reports_clean() {
-        let salvaged = salvage_bytes(Bytes::from(v2_image())).unwrap();
+        let salvaged = salvage(&v2_image()).unwrap();
         assert!(salvaged.report.is_clean());
         assert_eq!(salvaged.report.verdict(), Verdict::Clean);
         assert_eq!(salvaged.report.recoverable_fraction(), 1.0);
@@ -709,16 +613,18 @@ mod tests {
     }
 
     #[test]
-    fn pristine_v1_reports_clean_and_damaged_v1_is_unreadable() {
-        let image = to_bytes_v1(&sample_log()).unwrap().to_vec();
-        let salvaged = salvage_bytes(Bytes::from(image.clone())).unwrap();
-        assert!(salvaged.report.is_clean());
-        assert_eq!(salvaged.report.events_recovered, 5);
-
-        let mut damaged = image;
-        let idx = damaged.len() - 8;
-        damaged[idx] ^= 0x40;
-        assert!(salvage_bytes(Bytes::from(damaged)).is_err());
+    fn v1_is_refused_and_its_clean_report_is_clean() {
+        let image = to_bytes_v1(&sample_log()).unwrap();
+        let err = salvage(&image).unwrap_err();
+        assert!(
+            matches!(err, StoreError::Corrupt(CorruptKind::V1Seek)),
+            "{err:?}"
+        );
+        let report = SalvageReport::clean_v1(5);
+        assert!(report.is_clean());
+        assert_eq!(report.version, 1);
+        assert_eq!(report.events_recovered, 5);
+        assert_eq!(report.recoverable_fraction(), 1.0);
     }
 
     #[test]
@@ -729,10 +635,9 @@ mod tests {
         damaged[off + 2] ^= 0x10;
 
         // Strict rejects the whole container on read.
-        let strict = StoreReader::from_bytes(Bytes::from(damaged.clone())).unwrap();
-        assert!(strict.read().is_err());
+        assert!(strict(&damaged).is_err());
 
-        let salvaged = salvage_bytes(Bytes::from(damaged)).unwrap();
+        let salvaged = salvage(&damaged).unwrap();
         let report = &salvaged.report;
         assert_eq!(report.verdict(), Verdict::Degraded);
         assert_eq!(report.losses.len(), 1);
@@ -747,10 +652,7 @@ mod tests {
         assert_eq!(report.events_recovered, 3);
 
         // Recovered events are byte-identical to the originals.
-        let original = StoreReader::from_bytes(to_bytes_blocked(&sample_log(), 2).unwrap())
-            .unwrap()
-            .read()
-            .unwrap();
+        let original = strict(&image).unwrap();
         let recovered = salvaged.reader.read().unwrap();
         assert_eq!(recovered.total_events(), 3);
         let orig_events = &original.cases()[0].events;
@@ -765,7 +667,7 @@ mod tests {
         let (last_off, last_len) = block_extent(&image, 0, 2);
         let mut cut = image.clone();
         cut.truncate(last_off + last_len / 2);
-        let salvaged = salvage_bytes(Bytes::from(cut)).unwrap();
+        let salvaged = salvage(&cut).unwrap();
         let report = &salvaged.report;
         assert_eq!(report.blocks_section, SectionHealth::Damaged);
         assert_eq!(report.losses.len(), 1);
@@ -780,22 +682,12 @@ mod tests {
         let before = image.clone();
         Fault::GarbageAppend { len: 64, seed: 3 }.apply(&mut image);
         assert_ne!(image, before);
-        let salvaged = salvage_bytes(Bytes::from(image)).unwrap();
+        let salvaged = salvage(&image).unwrap();
         assert_eq!(salvaged.report.verdict(), Verdict::Degraded);
         assert_eq!(salvaged.report.unaccounted_bytes, 64);
         assert_eq!(salvaged.report.events_recovered, 5);
         // Strict rejects the same container.
-        assert!(StoreReader::from_bytes(to_damaged(&before, 64)).is_err());
-    }
-
-    fn to_damaged(image: &[u8], extra: usize) -> Bytes {
-        let mut v = image.to_vec();
-        Fault::GarbageAppend {
-            len: extra,
-            seed: 3,
-        }
-        .apply(&mut v);
-        Bytes::from(v)
+        assert!(strict(&image).is_err());
     }
 
     #[test]
@@ -809,8 +701,8 @@ mod tests {
         let mut damaged = image.clone();
         let crc_pos = blocks_start - 8 - 1;
         damaged[crc_pos] ^= 0xFF;
-        assert!(StoreReader::from_bytes(Bytes::from(damaged.clone())).is_err());
-        let salvaged = salvage_bytes(Bytes::from(damaged)).unwrap();
+        assert!(strict(&damaged).is_err());
+        let salvaged = salvage(&damaged).unwrap();
         assert_eq!(salvaged.report.directory, SectionHealth::Damaged);
         assert_eq!(salvaged.report.events_recovered, 5);
         assert_eq!(salvaged.reader.read().unwrap().total_events(), 5);
@@ -832,7 +724,7 @@ mod tests {
             len: 16,
         }
         .apply(&mut damaged);
-        let salvaged = salvage_bytes(Bytes::from(damaged)).unwrap();
+        let salvaged = salvage(&damaged).unwrap();
         let report = &salvaged.report;
         assert_eq!(report.verdict(), Verdict::Degraded);
         // Whatever was not described must be found as frames (the
@@ -849,92 +741,7 @@ mod tests {
     fn strings_damage_is_unreadable() {
         let mut image = v2_image();
         image[16] ^= 0xFF;
-        assert!(salvage_bytes(Bytes::from(image)).is_err());
-    }
-
-    #[test]
-    fn every_seeded_fault_still_salvages_or_fails_like_strict() {
-        // Sweep all kinds × seeds: salvage must never panic, never
-        // invent events, and strict must reject whatever salvage
-        // flags.
-        let image = v2_image();
-        let original = StoreReader::from_bytes(Bytes::from(image.clone()))
-            .unwrap()
-            .read()
-            .unwrap();
-        for kind in FaultKind::ALL {
-            for seed in 0..25u64 {
-                let mut damaged = image.clone();
-                if !Fault::seeded(kind, seed, image.len()).apply(&mut damaged) {
-                    continue;
-                }
-                if damaged == image {
-                    continue; // e.g. zeroing already-zero bytes
-                }
-                let strict_ok = StoreReader::from_bytes(Bytes::from(damaged.clone()))
-                    .and_then(|r| r.read())
-                    .is_ok();
-                match salvage_bytes(Bytes::from(damaged)) {
-                    Err(_) => assert!(!strict_ok, "{kind} seed {seed}: strict ok, salvage err"),
-                    Ok(salvaged) => {
-                        if !salvaged.report.is_clean() {
-                            assert!(
-                                !strict_ok,
-                                "{kind} seed {seed}: strict accepted what salvage flags"
-                            );
-                        }
-                        let log = salvaged.reader.read().expect("vetted blocks decode");
-                        for (case, orig) in log.cases().iter().zip(original.cases()) {
-                            for e in &case.events {
-                                assert!(
-                                    orig.events.contains(e),
-                                    "{kind} seed {seed} invented {e:?}"
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn seek_salvage_matches_resident_salvage_across_faults() {
-        // The seek core must agree with the resident path on the exact
-        // report and the exact recovered events, damage or no damage.
-        let image = v2_image();
-        for kind in FaultKind::ALL {
-            for seed in 0..10u64 {
-                let mut damaged = image.clone();
-                Fault::seeded(kind, seed, image.len()).apply(&mut damaged);
-                let resident = salvage_bytes(Bytes::from(damaged.clone()));
-                let seek = salvage_source(Arc::new(BytesSegment::new(Bytes::from(damaged))));
-                match (resident, seek) {
-                    (Ok(r), Ok(s)) => {
-                        assert_eq!(r.report, s.report, "{kind} seed {seed}");
-                        let rl = r.reader.read().unwrap();
-                        let sl = s.reader.read().unwrap();
-                        assert_eq!(rl.cases(), sl.cases(), "{kind} seed {seed}");
-                    }
-                    (Err(_), Err(_)) => {}
-                    (r, s) => panic!(
-                        "{kind} seed {seed}: resident {:?} vs seek {:?}",
-                        r.map(|x| x.report),
-                        s.map(|x| x.report)
-                    ),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn seek_salvage_refuses_v1() {
-        let image = to_bytes_v1(&sample_log()).unwrap();
-        let err = salvage_source(Arc::new(BytesSegment::new(image))).unwrap_err();
-        assert!(
-            matches!(err, StoreError::Corrupt(CorruptKind::V1Seek)),
-            "{err:?}"
-        );
+        assert!(salvage(&image).is_err());
     }
 
     #[test]

@@ -1,25 +1,25 @@
-//! Out-of-core (seek) access to STLOG v2 containers.
+//! The STLOG v2 reader: [`SegmentReader`] over a [`SegmentSource`].
 //!
-//! The resident [`StoreReader`] slurps the whole file before the first
-//! predicate runs, so pushdown skips *decoding* but never *I/O*. This
-//! module closes that gap: a [`SegmentSource`] abstracts "a byte range
-//! of the container, fetched on demand" (positioned `pread`, a memory
-//! map, or an in-memory image), and [`SegmentReader`] opens a v2
-//! container by reading **only** its head — magic, string table, block
-//! directory — then fetches exactly the block extents a query decodes.
-//! A store much larger than RAM is queried at directory cost plus the
-//! bytes of the blocks that survive zone-map pruning.
+//! A [`SegmentSource`] abstracts "a byte range of the container,
+//! fetched on demand" — positioned `pread` on a file
+//! ([`FileSegment`]) or a slice of an in-memory image
+//! ([`BytesSegment`]). [`SegmentReader`] opens a v2 container by
+//! reading **only** its head — magic, string table, block directory —
+//! then fetches exactly the block extents a query decodes. A store much
+//! larger than RAM is queried at directory cost plus the bytes of the
+//! blocks that survive zone-map pruning; an in-memory image is read
+//! through the very same code.
 //!
-//! The [`BlockRead`] trait is the common surface the query layer
-//! (`st_query::pushdown`) is generic over: both readers expose the same
-//! string table / directory / block decode, plus [`BlockRead::bytes_read`]
-//! so pruning statistics can report bytes *fetched from the medium*
-//! alongside bytes decoded — the resident reader always charges the
-//! whole image, the seek reader only what it touched.
+//! The [`BlockRead`] trait is the surface the query layer
+//! (`st_query::pushdown`) is generic over: string table, directory,
+//! block decode, plus [`BlockRead::bytes_read`] so pruning statistics
+//! can report bytes *fetched from the medium* alongside bytes decoded.
+//! It is implemented by [`SegmentReader`] and by the caching wrapper
+//! [`crate::CachedBlockRead`].
 //!
 //! [`CountingSegment`] wraps any source with fetch accounting and is
 //! the test double behind the no-false-I/O laws in
-//! `tests/props_store_io.rs`: bytes read never exceed the resident
+//! `tests/props_store_io.rs`: bytes read never exceed the
 //! image, zone-map-rejected blocks contribute zero reads, and a
 //! pass-all read totals exactly the image.
 
@@ -32,10 +32,11 @@ use bytes::Bytes;
 use st_model::{Case, CaseMeta, Event, EventLog, Interner};
 
 use crate::crc::crc32;
+use crate::decode::{decode_block_bytes, decode_directory, decode_strings};
 use crate::error::{CorruptKind, StoreError};
 use crate::format::{BlockDir, CaseDir, ColumnSet};
-use crate::reader::{decode_block_bytes, decode_directory, decode_strings, StoreReader};
-use crate::writer::{MAGIC_V1, MAGIC_V2, VERSION_V1, VERSION_V2};
+use crate::legacy::{MAGIC_V1, VERSION_V1};
+use crate::writer::{MAGIC_V2, VERSION_V2};
 
 /// A random-access byte source holding one container image.
 ///
@@ -67,9 +68,9 @@ fn short_read_error(path: &Path, offset: u64, len: usize) -> StoreError {
     }
 }
 
-/// A resident in-memory image as a [`SegmentSource`] — the degenerate
-/// source that makes ranged and resident code paths share one
-/// implementation (salvage vetting runs on it for `salvage_bytes`).
+/// An in-memory container image as a [`SegmentSource`]: fetches are
+/// zero-copy slices, so an image already in RAM is read through the
+/// same [`SegmentReader`] as a file.
 #[derive(Debug, Clone)]
 pub struct BytesSegment {
     data: Bytes,
@@ -164,60 +165,6 @@ impl SegmentSource for FileSegment {
     }
 }
 
-/// A memory-mapped container file (read-only, private mapping) behind
-/// the vendored `memmap2` shim. Fetches copy out of the map, so only
-/// the pages a query actually touches are ever faulted in.
-#[cfg(unix)]
-#[derive(Debug)]
-pub struct MmapSegment {
-    map: memmap2::Mmap,
-    path: PathBuf,
-}
-
-#[cfg(unix)]
-impl MmapSegment {
-    /// Maps `path` read-only.
-    ///
-    /// The file must not be truncated or rewritten in place while the
-    /// segment is alive (the store's atomic-rename write protocol never
-    /// does either — a replaced container keeps its old inode mapped).
-    pub fn open(path: &Path) -> Result<MmapSegment, StoreError> {
-        let io_err = |source: std::io::Error| StoreError::Io {
-            path: path.to_path_buf(),
-            source,
-        };
-        let file = std::fs::File::open(path).map_err(io_err)?;
-        // SAFETY: read-only private mapping; the caller contract above
-        // forbids in-place mutation of the mapped file.
-        let map = unsafe { memmap2::Mmap::map(&file) }.map_err(io_err)?;
-        Ok(MmapSegment {
-            map,
-            path: path.to_path_buf(),
-        })
-    }
-}
-
-#[cfg(unix)]
-impl SegmentSource for MmapSegment {
-    fn len(&self) -> u64 {
-        self.map.len() as u64
-    }
-
-    fn read_at(&self, offset: u64, len: usize) -> Result<Bytes, StoreError> {
-        let start = usize::try_from(offset).ok();
-        match start {
-            Some(start)
-                if start
-                    .checked_add(len)
-                    .is_some_and(|end| end <= self.map.len()) =>
-            {
-                Ok(Bytes::from(self.map[start..start + len].to_vec()))
-            }
-            _ => Err(short_read_error(&self.path, offset, len)),
-        }
-    }
-}
-
 /// Fetch accounting shared by a [`CountingSegment`] and its observers.
 #[derive(Debug, Default)]
 pub struct IoCounters {
@@ -285,9 +232,9 @@ impl SegmentSource for CountingSegment {
 
 /// The reader surface predicate pushdown is generic over: string table,
 /// block directory, on-demand block decode, and cumulative fetch
-/// accounting. Implemented by the resident [`StoreReader`] and the
-/// out-of-core [`SegmentReader`]; `st_query::read_pruned_par` produces
-/// identical results over either.
+/// accounting. Implemented by [`SegmentReader`] and the caching
+/// wrapper [`crate::CachedBlockRead`]; `st_query::read_pruned_par`
+/// produces identical results over either.
 pub trait BlockRead: Sync {
     /// The container's string table in symbol order.
     fn strings(&self) -> &[String];
@@ -297,7 +244,7 @@ pub trait BlockRead: Sync {
     fn directory(&self) -> Option<&[CaseDir]>;
 
     /// Decodes one v2 block, appending its events to `out`; returns the
-    /// column-segment bytes parsed. See [`StoreReader::decode_block`]
+    /// column-segment bytes parsed. See [`SegmentReader::decode_block`]
     /// for the exact contract (CRC verify, column projection).
     fn decode_block(
         &self,
@@ -307,43 +254,39 @@ pub trait BlockRead: Sync {
     ) -> Result<usize, StoreError>;
 
     /// Cumulative bytes this reader has fetched from its underlying
-    /// medium since it was opened. A resident reader reports its whole
-    /// image; a seek reader reports head bytes plus every block extent
+    /// medium since it was opened: head bytes plus every block extent
     /// fetched so far.
     fn bytes_read(&self) -> u64;
 }
 
-impl BlockRead for StoreReader {
-    fn strings(&self) -> &[String] {
-        StoreReader::strings(self)
+/// Checks the 12-byte container header: `Ok` for STLOG v2,
+/// [`CorruptKind::V1Seek`] for v1 (no directory to read through),
+/// [`StoreError::UnsupportedVersion`] for any other `STLOG` header and
+/// [`StoreError::BadMagic`] for everything else.
+pub(crate) fn check_header(source: &dyn SegmentSource) -> Result<(), StoreError> {
+    if source.len() < 12 {
+        return Err(StoreError::BadMagic);
     }
-
-    fn directory(&self) -> Option<&[CaseDir]> {
-        StoreReader::directory(self)
-    }
-
-    fn decode_block(
-        &self,
-        block: &BlockDir,
-        cols: ColumnSet,
-        out: &mut Vec<Event>,
-    ) -> Result<usize, StoreError> {
-        StoreReader::decode_block(self, block, cols, out)
-    }
-
-    fn bytes_read(&self) -> u64 {
-        StoreReader::bytes_read(self)
+    let head = source.read_at(0, 12)?;
+    let magic: [u8; 8] = head[..8].try_into().expect("12 bytes fetched");
+    let version = u32::from_le_bytes(head[8..12].try_into().expect("12 bytes fetched"));
+    match (&magic, version) {
+        (MAGIC_V2, VERSION_V2) => Ok(()),
+        (MAGIC_V1, VERSION_V1) => Err(CorruptKind::V1Seek.into()),
+        _ if magic.starts_with(b"STLOG") => Err(StoreError::UnsupportedVersion(version)),
+        _ => Err(StoreError::BadMagic),
     }
 }
 
-/// Reads a strict v2 section (8-byte LE length prefix, body, CRC-32
-/// trailer) at `pos`, returning the body and the offset past the
-/// trailer. One fetch covers body + CRC.
-pub(crate) fn read_section_at(
+/// Fetches a v2 section (8-byte LE length prefix, body, CRC-32
+/// trailer) at `pos` — one fetch covers body + CRC — returning the
+/// body, the offset past the trailer, and whether the CRC matched.
+/// Framing that does not fit the source is `Corrupt`.
+pub(crate) fn fetch_section_at(
     source: &dyn SegmentSource,
     mut pos: u64,
     section: &'static str,
-) -> Result<(Bytes, u64), StoreError> {
+) -> Result<(Bytes, u64, bool), StoreError> {
     let total = source.len();
     if total.saturating_sub(pos) < 8 {
         return Err(CorruptKind::TruncatedSection { section }.into());
@@ -359,22 +302,30 @@ pub(crate) fn read_section_at(
         .checked_add(4)
         .ok_or(CorruptKind::SectionTooLarge { section })?;
     let framed = source.read_at(pos, fetch)?;
-    pos += len + 4;
     let body = framed.slice(0..len_usize);
     let stored = u32::from_le_bytes(framed[len_usize..].try_into().expect("4 trailer bytes"));
-    if crc32(&body) != stored {
-        return Err(StoreError::ChecksumMismatch { section });
-    }
-    Ok((body, pos))
+    let crc_ok = crc32(&body) == stored;
+    Ok((body, pos + len + 4, crc_ok))
 }
 
-/// An out-of-core v2 container reader: opening reads only the head
+/// [`fetch_section_at`] for the strict path: a CRC mismatch is an error.
+pub(crate) fn read_section_at(
+    source: &dyn SegmentSource,
+    pos: u64,
+    section: &'static str,
+) -> Result<(Bytes, u64), StoreError> {
+    match fetch_section_at(source, pos, section)? {
+        (body, next, true) => Ok((body, next)),
+        _ => Err(StoreError::ChecksumMismatch { section }),
+    }
+}
+
+/// The STLOG v2 container reader — the paper's `EventLogH5` handle
+/// (Fig. 6 step 0): open once, then materialize the full log or, via
+/// the directory, individual column blocks. Opening reads only the head
 /// (magic + strings + directory + blocks length), and each
 /// [`SegmentReader::decode_block`] fetches exactly that block's byte
-/// extent. The whole container is never resident.
-///
-/// Produces byte-identical results to a [`StoreReader`] over the same
-/// image (`tests/props_store_pushdown.rs` pins the equivalence), while
+/// extent, so the whole container is never resident.
 /// [`SegmentReader::bytes_read`] grows only with the extents actually
 /// fetched — the number behind `PushdownStats::bytes_read` and the
 /// bench `ooc` section.
@@ -405,37 +356,17 @@ impl SegmentReader {
         Self::from_source(Arc::new(FileSegment::open(path)?))
     }
 
-    /// Opens `path` through a read-only memory map (see
-    /// [`MmapSegment::open`] for the aliasing contract).
-    #[cfg(unix)]
-    pub fn open_mmap(path: &Path) -> Result<SegmentReader, StoreError> {
-        Self::from_source(Arc::new(MmapSegment::open(path)?))
-    }
-
     /// Opens a container over any byte source, validating magic,
-    /// version, head-section CRCs and directory coverage — everything
-    /// the strict resident open validates except per-block CRCs, which
-    /// are verified when (and only when) a block is fetched.
+    /// version, head-section CRCs and directory coverage. Per-block
+    /// CRCs are verified when (and only when) a block is fetched.
     ///
-    /// v1 containers have no block directory to seek through and fail
-    /// with [`CorruptKind::V1Seek`]; use [`StoreReader::open`] there.
+    /// v1 containers have no block directory and fail with
+    /// [`CorruptKind::V1Seek`]; decode those with
+    /// [`crate::legacy::read_v1`].
     pub fn from_source(source: Arc<dyn SegmentSource>) -> Result<SegmentReader, StoreError> {
         let _span = st_obs::span!("store.open.seek");
         let total = source.len();
-        if total < 12 {
-            return Err(StoreError::BadMagic);
-        }
-        let head = source.read_at(0, 12)?;
-        let magic: [u8; 8] = head[..8].try_into().expect("12 bytes fetched");
-        let version = u32::from_le_bytes(head[8..12].try_into().expect("12 bytes fetched"));
-        match (&magic, version) {
-            (MAGIC_V2, VERSION_V2) => {}
-            (MAGIC_V1, VERSION_V1) => return Err(CorruptKind::V1Seek.into()),
-            _ if magic.starts_with(b"STLOG") => {
-                return Err(StoreError::UnsupportedVersion(version))
-            }
-            _ => return Err(StoreError::BadMagic),
-        }
+        check_header(&*source)?;
         let (strings_body, pos) = read_section_at(&*source, 12, "strings")?;
         let strings = decode_strings(strings_body)?;
         let (dir_body, mut pos) = read_section_at(&*source, pos, "directory")?;
@@ -464,9 +395,9 @@ impl SegmentReader {
         })
     }
 
-    /// Assembles a seek reader from already-vetted parts — the seek
-    /// salvage path's equivalent of `StoreReader::assemble_v2`. The
-    /// caller guarantees every block in `directory` lies within
+    /// Assembles a reader from already-vetted parts — the salvage path's
+    /// back door around [`SegmentReader::from_source`]'s strict
+    /// validation. The caller guarantees every block in `directory` lies within
     /// `[blocks_start, blocks_start + blocks_len)` of `source` and is
     /// CRC-clean and decodable; `head_bytes` seeds the fetch counter
     /// with the I/O already spent vetting.
@@ -486,12 +417,6 @@ impl SegmentReader {
             blocks_len,
             bytes_read: AtomicU64::new(head_bytes),
         }
-    }
-
-    /// The container's format version (always 2 — v1 cannot be opened
-    /// through a seek reader).
-    pub fn version(&self) -> u32 {
-        VERSION_V2
     }
 
     /// The container's string table in symbol order.
@@ -515,10 +440,15 @@ impl SegmentReader {
         self.bytes_read.load(Ordering::Relaxed)
     }
 
-    /// Fetches and decodes one block — the seek twin of
-    /// [`StoreReader::decode_block`], with the same contract (CRC
-    /// verify, column projection, identity columns always decoded).
+    /// Fetches and decodes one block, appending its events to `out` and
+    /// returning the number of column-segment bytes actually parsed.
     /// Exactly `block.len` bytes are read from the source.
+    ///
+    /// Only the columns in `cols` (always including
+    /// [`ColumnSet::IDENTITY`]) are decoded; the other segments are
+    /// skipped by their directory lengths and their event fields take
+    /// neutral defaults (pid 0, dur 0, `None` size/requested/offset,
+    /// `ok = true`). The block's CRC-32 is verified before decoding.
     pub fn decode_block(
         &self,
         block: &BlockDir,
@@ -550,8 +480,8 @@ impl SegmentReader {
     }
 
     /// Decodes the full event log, fetching each block extent once.
-    /// Symbols are re-interned in insertion order — the same log (ids
-    /// included) a resident [`StoreReader::read`] produces.
+    /// Symbols are re-interned in insertion order, reproducing the
+    /// original ids exactly.
     pub fn read(&self) -> Result<EventLog, StoreError> {
         let _span = st_obs::span!("store.read");
         let interner = Interner::new_shared();
@@ -605,42 +535,88 @@ impl BlockRead for SegmentReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::writer::{tests::sample_log, to_bytes, to_bytes_blocked, to_bytes_v1, write_atomic};
+    use crate::legacy::to_bytes_v1;
+    use crate::writer::{tests::sample_log, to_bytes, to_bytes_blocked, write_store};
+    use st_model::{Micros, Pid};
 
     fn temp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("st-segment-{}-{}", name, std::process::id()))
     }
 
-    #[test]
-    fn seek_read_equals_resident_read() {
-        let log = sample_log();
-        let image = to_bytes_blocked(&log, 2).unwrap();
-        let resident = StoreReader::from_bytes(image.clone())
-            .unwrap()
-            .read()
-            .unwrap();
-        let seek = SegmentReader::from_source(Arc::new(BytesSegment::new(image)))
-            .unwrap()
-            .read()
-            .unwrap();
-        assert_eq!(resident.cases(), seek.cases());
+    fn open_image(image: Bytes) -> Result<SegmentReader, StoreError> {
+        SegmentReader::from_source(Arc::new(BytesSegment::new(image)))
     }
 
     #[test]
-    fn file_and_mmap_sources_read_identically() {
-        let log = sample_log();
-        let image = to_bytes_blocked(&log, 2).unwrap();
-        let path = temp("file-mmap");
-        write_atomic(&path, &image).unwrap();
-        let via_file = SegmentReader::open(&path).unwrap().read().unwrap();
-        #[cfg(unix)]
-        {
-            let via_mmap = SegmentReader::open_mmap(&path).unwrap().read().unwrap();
-            assert_eq!(via_file.cases(), via_mmap.cases());
+    fn roundtrip_reproduces_cases_and_symbol_ids() {
+        // `Case: PartialEq` compares metas and events by raw symbol id;
+        // insertion-order re-interning makes the ids survive the trip.
+        for log in [sample_log(), EventLog::with_new_interner()] {
+            for block_events in [1, 2, 1024] {
+                let image = to_bytes_blocked(&log, block_events).unwrap();
+                let back = open_image(image).unwrap().read().unwrap();
+                assert_eq!(back.cases(), log.cases(), "block_events={block_events}");
+                assert_eq!(back.snapshot().len(), log.snapshot().len());
+            }
         }
-        let resident = StoreReader::open(&path).unwrap().read().unwrap();
-        assert_eq!(via_file.cases(), resident.cases());
+    }
+
+    #[test]
+    fn file_and_memory_sources_read_identically() {
+        let log = sample_log();
+        let path = temp("file");
+        write_store(&log, &path).unwrap();
+        let via_file = SegmentReader::open(&path).unwrap().read().unwrap();
+        let via_memory = open_image(Bytes::from(std::fs::read(&path).unwrap()))
+            .unwrap()
+            .read()
+            .unwrap();
+        assert_eq!(via_file.cases(), log.cases());
+        assert_eq!(via_file.cases(), via_memory.cases());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn directory_reports_meta_without_decoding() {
+        let counting = CountingSegment::new(Arc::new(BytesSegment::new(
+            to_bytes_blocked(&sample_log(), 2).unwrap(),
+        )));
+        let counters = counting.counters();
+        let reader = SegmentReader::from_source(Arc::new(counting)).unwrap();
+        let head = counters.bytes();
+        assert_eq!(reader.total_events(), 5);
+        let dir = reader.directory();
+        assert_eq!(dir.len(), 1);
+        assert_eq!(dir[0].blocks.len(), 3); // 5 events in blocks of 2
+        assert_eq!(dir[0].start_min, Micros(100));
+        assert_eq!(dir[0].start_max, Micros(500));
+        assert_eq!(dir[0].blocks[0].zone.start_max, Micros(200));
+        assert_eq!(counters.bytes(), head, "directory reads fetch nothing");
+    }
+
+    #[test]
+    fn column_projection_skips_unselected_columns() {
+        let reader = open_image(to_bytes(&sample_log()).unwrap()).unwrap();
+        let block = &reader.directory()[0].blocks[0];
+        let mut all = Vec::new();
+        let full_bytes = reader
+            .decode_block(block, ColumnSet::ALL, &mut all)
+            .unwrap();
+        let mut some = Vec::new();
+        let some_bytes = reader
+            .decode_block(block, ColumnSet::IDENTITY, &mut some)
+            .unwrap();
+        assert!(some_bytes < full_bytes, "{some_bytes} vs {full_bytes}");
+        assert_eq!(all.len(), some.len());
+        for (a, b) in all.iter().zip(&some) {
+            // Identity columns match; the rest fall back to defaults.
+            assert_eq!(a.call, b.call);
+            assert_eq!(a.start, b.start);
+            assert_eq!(a.path, b.path);
+            assert_eq!(b.pid, Pid(0));
+            assert_eq!(b.size, None);
+            assert!(b.ok);
+        }
     }
 
     #[test]
@@ -662,9 +638,54 @@ mod tests {
     #[test]
     fn v1_containers_are_refused_with_a_dedicated_error() {
         let image = to_bytes_v1(&sample_log()).unwrap();
-        let err = SegmentReader::from_source(Arc::new(BytesSegment::new(image))).unwrap_err();
+        let err = open_image(image).unwrap_err();
         assert!(
             matches!(err, StoreError::Corrupt(CorruptKind::V1Seek)),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn bad_headers_are_rejected() {
+        for junk in [&b"NOTSTLOG...."[..], &b"xx"[..]] {
+            let err = open_image(Bytes::from_static(junk)).unwrap_err();
+            assert!(matches!(err, StoreError::BadMagic), "{err:?}");
+        }
+        // A future-format file: STLOG magic, unknown digit + version.
+        let mut bytes = to_bytes(&sample_log()).unwrap().to_vec();
+        bytes[5] = b'3';
+        bytes[8] = 3;
+        let err = open_image(Bytes::from(bytes)).unwrap_err();
+        assert!(matches!(err, StoreError::UnsupportedVersion(3)), "{err:?}");
+        // A version field that disagrees with a known magic is equally
+        // unreadable.
+        let mut bytes = to_bytes(&sample_log()).unwrap().to_vec();
+        bytes[8] = 0xEE;
+        let err = open_image(Bytes::from(bytes)).unwrap_err();
+        assert!(
+            matches!(err, StoreError::UnsupportedVersion(0xEE)),
+            "{err:?}"
+        );
+        // A section length prefix near u64::MAX must not overflow the
+        // bounds check — it is Corrupt.
+        let mut bytes = to_bytes(&sample_log()).unwrap()[..12].to_vec();
+        bytes.extend_from_slice(&(u64::MAX - 3).to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 16]);
+        let err = open_image(Bytes::from(bytes)).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+    }
+
+    #[test]
+    fn corrupted_strings_section_detected() {
+        let mut bytes = to_bytes(&sample_log()).unwrap().to_vec();
+        // Flip a byte inside the strings section (right after the header).
+        bytes[16] ^= 0xFF;
+        let err = open_image(Bytes::from(bytes)).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StoreError::ChecksumMismatch { .. } | StoreError::Corrupt(_)
+            ),
             "{err:?}"
         );
     }
@@ -687,8 +708,7 @@ mod tests {
         }
         let mut padded = image.to_vec();
         padded.extend_from_slice(b"junk");
-        let err = SegmentReader::from_source(Arc::new(BytesSegment::new(Bytes::from(padded))))
-            .unwrap_err();
+        let err = open_image(Bytes::from(padded)).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -705,8 +725,7 @@ mod tests {
         let idx = damaged.len() - 8; // inside the last block body / CRC
         damaged[idx] ^= 0x55;
         // The head is intact, so the open succeeds...
-        let reader =
-            SegmentReader::from_source(Arc::new(BytesSegment::new(Bytes::from(damaged)))).unwrap();
+        let reader = open_image(Bytes::from(damaged)).unwrap();
         // ...and the damage surfaces when the block is fetched.
         let err = reader.read().unwrap_err();
         assert!(

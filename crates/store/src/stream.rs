@@ -1,9 +1,6 @@
 //! Streaming (bounded-memory) STLOG v2 writer.
 //!
-//! [`crate::to_bytes`] materializes the whole container image before a
-//! single byte hits disk — fine for logs that fit in RAM, fatal for the
-//! out-of-core stores [`crate::SegmentReader`] exists to serve.
-//! [`StoreBuilder`] writes the same bytes case-by-case: block bodies
+//! [`StoreBuilder`] writes a container case-by-case: block bodies
 //! stream into a same-directory spill file as cases are pushed (the
 //! head cannot be written first — string-table and directory lengths
 //! are unknown until the last case), and `finish()` assembles the final
@@ -12,25 +9,25 @@
 //! target. Peak memory is one block's encoding plus the directory
 //! metadata — never the event payload.
 //!
-//! The output is **bit-identical** to [`crate::to_bytes_blocked`] over
-//! the same events, interner and block size (pinned by a golden fixture
-//! and a property law in `tests/props_store_io.rs`), so readers cannot
-//! tell which writer produced a container.
+//! It shares its case and head encoders with [`crate::to_bytes_blocked`]
+//! (module [`crate::writer`]), so both produce the same bytes for the
+//! same events, interner and block size; a golden fixture in
+//! `tests/props_store_io.rs` pins the streamed output.
 //!
-//! Crash behaviour matches [`crate::write_atomic`]: an interrupted
-//! build leaves the target untouched and cleans up both the temp file
-//! and the spill; a reader never sees a torn container.
+//! Crash behaviour matches [`crate::write_atomic`] (both publish
+//! through one helper): an interrupted build leaves the target
+//! untouched and cleans up both the temp file and the spill; a reader
+//! never sees a torn container.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use st_model::{CaseMeta, Event, EventLog, Interner, Micros, Symbol};
+use st_model::{CaseMeta, Event, EventLog, Interner};
 
-use crate::error::{CorruptKind, StoreError};
+use crate::error::StoreError;
 use crate::format::{CaseDir, DEFAULT_BLOCK_EVENTS};
-use crate::varint::put_u64;
-use crate::writer::{write_block, write_section, MAGIC_V2, VERSION_V2};
+use crate::writer::{encode_case, encode_head, io_error, publish_atomic, scratch_path};
 
 /// Copy-buffer size for splicing the spill file into the final
 /// container — the only allocation `finish()` makes besides the head.
@@ -59,16 +56,14 @@ const SPLICE_BUF: usize = 256 * 1024;
 #[derive(Debug)]
 pub struct StoreBuilder {
     path: PathBuf,
-    dir: PathBuf,
     interner: Arc<Interner>,
     block_events: usize,
     spill_path: PathBuf,
-    spill: Option<std::io::BufWriter<std::fs::File>>,
+    spill: std::io::BufWriter<std::fs::File>,
     directory: Vec<CaseDir>,
     blocks_offset: u64,
     buf: Vec<u8>,
     peak_buffer: usize,
-    finished: bool,
 }
 
 impl StoreBuilder {
@@ -85,37 +80,18 @@ impl StoreBuilder {
         block_events: usize,
     ) -> Result<StoreBuilder, StoreError> {
         assert!(block_events >= 1, "blocks hold at least one event");
-        let io_err = |source: std::io::Error| StoreError::Io {
-            path: path.to_path_buf(),
-            source,
-        };
-        let dir = match path.parent() {
-            Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-            _ => PathBuf::from("."),
-        };
-        let name = path
-            .file_name()
-            .ok_or_else(|| io_err(std::io::Error::other("path has no file name")))?;
-        // Same directory as the target (like write_atomic's temp file)
-        // and pid-salted, so concurrent builders never share a spill.
-        let spill_path = dir.join(format!(
-            ".{}.spill.{}",
-            name.to_string_lossy(),
-            std::process::id()
-        ));
-        let spill = std::fs::File::create(&spill_path).map_err(io_err)?;
+        let spill_path = scratch_path(path, "spill")?;
+        let spill = std::fs::File::create(&spill_path).map_err(io_error(path))?;
         Ok(StoreBuilder {
             path: path.to_path_buf(),
-            dir,
             interner,
             block_events,
             spill_path,
-            spill: Some(std::io::BufWriter::new(spill)),
+            spill: std::io::BufWriter::new(spill),
             directory: Vec::new(),
             blocks_offset: 0,
             buf: Vec::new(),
             peak_buffer: 0,
-            finished: false,
         })
     }
 
@@ -123,39 +99,23 @@ impl StoreBuilder {
     /// block bodies to the spill file. Events must be start-sorted
     /// (they are delta-encoded), as with [`crate::to_bytes`].
     pub fn push_case(&mut self, meta: CaseMeta, events: &[Event]) -> Result<(), StoreError> {
-        if !events.windows(2).all(|w| w[0].start <= w[1].start) {
-            return Err(CorruptKind::UnsortedCase {
-                label: meta.label(&self.interner),
-            }
-            .into());
-        }
-        let io_err = |source: std::io::Error| StoreError::Io {
-            path: self.spill_path.clone(),
-            source,
-        };
-        let mut entry = CaseDir {
-            cid: meta.cid,
-            host: meta.host,
-            rid: meta.rid,
-            events: events.len() as u64,
-            start_min: events.first().map(|e| e.start).unwrap_or(Micros::ZERO),
-            start_max: events.last().map(|e| e.start).unwrap_or(Micros::ZERO),
-            blocks: Vec::with_capacity(events.len().div_ceil(self.block_events)),
-        };
-        let spill = self.spill.as_mut().expect("spill open until finish");
-        for chunk in events.chunks(self.block_events) {
-            self.buf.clear();
-            // write_block records the offset relative to the buffer; the
-            // buffer restarts per block, so rebase onto the running
-            // blocks-section offset — the same contiguous layout
-            // to_bytes produces in one pass.
-            let mut block = write_block(&mut self.buf, chunk);
-            block.offset = self.blocks_offset;
-            self.blocks_offset += u64::from(block.len);
-            self.peak_buffer = self.peak_buffer.max(self.buf.len());
-            spill.write_all(&self.buf).map_err(io_err)?;
-            entry.blocks.push(block);
-        }
+        let spill = &mut self.spill;
+        let spill_err = io_error(&self.spill_path);
+        let peak = &mut self.peak_buffer;
+        let entry = encode_case(
+            meta,
+            events,
+            self.block_events,
+            &self.interner,
+            &mut self.buf,
+            &mut self.blocks_offset,
+            |block| {
+                *peak = (*peak).max(block.len());
+                spill.write_all(block).map_err(&spill_err)?;
+                block.clear();
+                Ok(())
+            },
+        )?;
         self.directory.push(entry);
         Ok(())
     }
@@ -180,16 +140,7 @@ impl StoreBuilder {
     /// the spill.
     pub fn checkpoint(&mut self) -> Result<(), StoreError> {
         let _span = st_obs::span!("store.stream.checkpoint");
-        let io_err = |source: std::io::Error| StoreError::Io {
-            path: self.spill_path.clone(),
-            source,
-        };
-        // Flush the buffered writer and fsync the underlying file
-        // without consuming either — the stream continues afterwards.
-        let spill = self.spill.as_mut().expect("spill open until finish");
-        spill.flush().map_err(io_err)?;
-        spill.get_ref().sync_all().map_err(io_err)?;
-        self.assemble()
+        self.publish()
     }
 
     /// Assembles and atomically publishes the container: head (magic,
@@ -199,106 +150,43 @@ impl StoreBuilder {
     pub fn finish(mut self) -> Result<(), StoreError> {
         let _span = st_obs::span!("store.stream.finish");
         st_obs::add("bytes_written", self.blocks_offset);
-        let io_err = |path: &Path| {
-            let path = path.to_path_buf();
-            move |source: std::io::Error| StoreError::Io {
-                path: path.clone(),
-                source,
-            }
-        };
-        // Flush the spill and reopen it for reading.
-        let spill = self.spill.take().expect("finish runs once");
-        spill
-            .into_inner()
-            .map_err(|e| io_err(&self.spill_path)(e.into_error()))?
-            .sync_all()
-            .map_err(io_err(&self.spill_path))?;
-
-        let result = self.assemble();
-        // Success or failure, the scratch files must go; on failure the
-        // target was never touched (rename is the last step).
-        let _ = std::fs::remove_file(&self.spill_path);
-        self.finished = true;
-        result
+        self.publish()
     }
 
-    /// Shared publish path of `checkpoint()` and `finish()`: writes the
-    /// head into a temp file, splices exactly `blocks_offset` bytes of
-    /// spill after it, fsyncs and renames over the target. Requires the
-    /// spill to be flushed to disk by the caller. On error the temp
-    /// file is removed and the target (and spill) are untouched.
-    fn assemble(&self) -> Result<(), StoreError> {
-        let io_err = |path: &Path| {
-            let path = path.to_path_buf();
-            move |source: std::io::Error| StoreError::Io {
-                path: path.clone(),
-                source,
-            }
-        };
-        let name = self
-            .path
-            .file_name()
-            .expect("validated in create")
-            .to_string_lossy()
-            .into_owned();
-        let tmp = self
-            .dir
-            .join(format!(".{}.tmp.{}", name, std::process::id()));
-        let result = (|| {
-            let snap = self.interner.snapshot();
-            let mut head = Vec::with_capacity(64 + snap.len() * 24 + self.directory.len() * 96);
-            head.extend_from_slice(MAGIC_V2);
-            head.extend_from_slice(&VERSION_V2.to_le_bytes());
-            write_section(&mut head, |body| {
-                put_u64(body, snap.len() as u64);
-                for idx in 0..snap.len() {
-                    let s = snap.resolve(Symbol(idx as u32));
-                    put_u64(body, s.len() as u64);
-                    body.extend_from_slice(s.as_bytes());
-                }
-            });
-            write_section(&mut head, |body| {
-                put_u64(body, self.directory.len() as u64);
-                for entry in &self.directory {
-                    entry.encode(body);
-                }
-            });
-            head.extend_from_slice(&self.blocks_offset.to_le_bytes());
-
-            let mut out = std::fs::File::create(&tmp).map_err(io_err(&tmp))?;
-            out.write_all(&head).map_err(io_err(&tmp))?;
-            let mut spill =
-                std::fs::File::open(&self.spill_path).map_err(io_err(&self.spill_path))?;
+    /// Shared publish path of `checkpoint()` and `finish()`: flushes and
+    /// fsyncs the spill without ending the stream, writes the head into
+    /// a temp file, splices exactly `blocks_offset` bytes of spill after
+    /// it, then fsyncs and renames over the target.
+    fn publish(&mut self) -> Result<(), StoreError> {
+        let spill_err = io_error(&self.spill_path);
+        self.spill.flush().map_err(&spill_err)?;
+        self.spill.get_ref().sync_all().map_err(&spill_err)?;
+        publish_atomic(&self.path, |out, tmp| {
+            let head = encode_head(
+                &self.interner.snapshot(),
+                &self.directory,
+                self.blocks_offset,
+            );
+            out.write_all(&head).map_err(io_error(tmp))?;
+            let mut spill = std::fs::File::open(&self.spill_path).map_err(&spill_err)?;
             let mut buf = vec![0u8; SPLICE_BUF];
             let mut copied = 0u64;
             loop {
-                use std::io::Read;
-                let n = spill.read(&mut buf).map_err(io_err(&self.spill_path))?;
+                let n = spill.read(&mut buf).map_err(&spill_err)?;
                 if n == 0 {
                     break;
                 }
-                out.write_all(&buf[..n]).map_err(io_err(&tmp))?;
+                out.write_all(&buf[..n]).map_err(io_error(tmp))?;
                 copied += n as u64;
             }
             if copied != self.blocks_offset {
-                return Err(io_err(&self.spill_path)(std::io::Error::other(format!(
+                return Err(spill_err(std::io::Error::other(format!(
                     "spill holds {copied} bytes, directory describes {}",
                     self.blocks_offset
                 ))));
             }
-            out.sync_all().map_err(io_err(&tmp))?;
-            drop(out);
-            std::fs::rename(&tmp, &self.path).map_err(io_err(&self.path))
-        })();
-        if result.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-            return result;
-        }
-        // Make the rename itself durable, best-effort as in write_atomic.
-        if let Ok(d) = std::fs::File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Streams every case of `log` (convenience for the
@@ -313,20 +201,20 @@ impl StoreBuilder {
 
 impl Drop for StoreBuilder {
     fn drop(&mut self) {
-        // An abandoned builder (error or early return before finish)
-        // must not leave its spill behind.
-        if !self.finished {
-            let _ = std::fs::remove_file(&self.spill_path);
-        }
+        // The spill is scratch whether the build finished or was
+        // abandoned (error or early return before finish): it never
+        // outlives the builder.
+        let _ = std::fs::remove_file(&self.spill_path);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reader::StoreReader;
+    use crate::error::CorruptKind;
     use crate::writer::tests::sample_log;
     use crate::writer::to_bytes_blocked;
+    use crate::SegmentReader;
 
     fn tempdir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("st-stream-{}-{}", name, std::process::id()));
@@ -340,25 +228,6 @@ mod tests {
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
             .filter(|n| n.contains(".tmp.") || n.contains(".spill."))
             .collect()
-    }
-
-    #[test]
-    fn streamed_container_is_bit_identical_to_resident_writer() {
-        let log = sample_log();
-        for block_events in [1, 2, 1024] {
-            let resident = to_bytes_blocked(&log, block_events).unwrap();
-            let dir = tempdir("identical");
-            let path = dir.join("out.stlog");
-            let mut b =
-                StoreBuilder::create_blocked(&path, Arc::clone(log.interner()), block_events)
-                    .unwrap();
-            b.push_log(&log).unwrap();
-            b.finish().unwrap();
-            let streamed = std::fs::read(&path).unwrap();
-            assert_eq!(&resident[..], &streamed[..], "block_events={block_events}");
-            assert!(scratch_files(&dir).is_empty(), "{:?}", scratch_files(&dir));
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
     }
 
     #[test]
@@ -409,28 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn peak_buffer_is_bounded_by_block_size_not_log_size() {
-        let log = sample_log(); // 5 events
-        let dir = tempdir("peak");
-        let path = dir.join("out.stlog");
-        let mut b = StoreBuilder::create_blocked(&path, Arc::clone(log.interner()), 1).unwrap();
-        b.push_log(&log).unwrap();
-        let single_block_peak = b.peak_buffer_bytes();
-        b.finish().unwrap();
-        // One-event blocks: the high-water mark is one block's bytes,
-        // far below the full blocks section.
-        let image = std::fs::read(&path).unwrap();
-        assert!(single_block_peak > 0);
-        assert!(
-            (single_block_peak as u64) < image.len() as u64 / 2,
-            "peak {} vs image {}",
-            single_block_peak,
-            image.len()
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn checkpoint_publishes_readable_container_and_stream_continues() {
         let log = sample_log();
         let dir = tempdir("checkpoint");
@@ -442,7 +289,7 @@ mod tests {
         b.push_case(log.cases()[0].meta, &log.cases()[0].events)
             .unwrap();
         b.checkpoint().unwrap();
-        let reader = StoreReader::open(&path).unwrap();
+        let reader = SegmentReader::open(&path).unwrap();
         let partial = reader.read().unwrap();
         assert_eq!(partial.case_count(), 1);
         assert_eq!(partial.cases()[0].events, log.cases()[0].events);
@@ -453,15 +300,15 @@ mod tests {
             b.push_case(case.meta, &case.events).unwrap();
         }
         b.checkpoint().unwrap();
-        let full = StoreReader::open(&path).unwrap().read().unwrap();
+        let full = SegmentReader::open(&path).unwrap().read().unwrap();
         assert_eq!(full.case_count(), log.case_count());
 
         // finish() after checkpoints is bit-identical to the one-shot
         // writers — a reader cannot tell checkpoints ever happened.
         b.finish().unwrap();
         let streamed = std::fs::read(&path).unwrap();
-        let resident = to_bytes_blocked(&log, 2).unwrap();
-        assert_eq!(&resident[..], &streamed[..]);
+        let in_memory = to_bytes_blocked(&log, 2).unwrap();
+        assert_eq!(&in_memory[..], &streamed[..]);
         assert!(scratch_files(&dir).is_empty(), "{:?}", scratch_files(&dir));
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -500,7 +347,7 @@ mod tests {
             "{:?}",
             scratch_files(&dir)
         );
-        let recovered = StoreReader::open(&path).unwrap().read().unwrap();
+        let recovered = SegmentReader::open(&path).unwrap().read().unwrap();
         assert_eq!(recovered.case_count(), 1);
         drop(b);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -513,7 +360,7 @@ mod tests {
         let interner = Interner::new_shared();
         let b = StoreBuilder::create(&path, interner).unwrap();
         b.finish().unwrap();
-        let reader = StoreReader::open(&path).unwrap();
+        let reader = SegmentReader::open(&path).unwrap();
         assert_eq!(reader.read().unwrap().case_count(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -87,7 +87,7 @@ fn get_u64_slice_multi(seg: &mut &[u8]) -> Result<u64, StoreError> {
     }
 }
 
-/// Slice-specialized [`get_opt_u64`] built on [`get_u64_slice`].
+/// Inverse of [`put_opt_u64`], built on [`get_u64_slice`].
 #[inline]
 pub fn get_opt_u64_slice(seg: &mut &[u8]) -> Result<Option<u64>, StoreError> {
     let raw = get_u64_slice(seg)?;
@@ -100,12 +100,6 @@ pub fn put_opt_u64<B: BufMut>(buf: &mut B, value: Option<u64>) {
         None => put_u64(buf, 0),
         Some(v) => put_u64(buf, v.checked_add(1).expect("option-shift overflow")),
     }
-}
-
-/// Inverse of [`put_opt_u64`].
-pub fn get_opt_u64<B: Buf>(buf: &mut B) -> Result<Option<u64>, StoreError> {
-    let raw = get_u64(buf)?;
-    Ok(if raw == 0 { None } else { Some(raw - 1) })
 }
 
 #[cfg(test)]
@@ -163,10 +157,10 @@ mod tests {
         put_opt_u64(&mut buf, None);
         put_opt_u64(&mut buf, Some(0));
         put_opt_u64(&mut buf, Some(u64::MAX - 1));
-        let mut bytes = buf.freeze();
-        assert_eq!(get_opt_u64(&mut bytes).unwrap(), None);
-        assert_eq!(get_opt_u64(&mut bytes).unwrap(), Some(0));
-        assert_eq!(get_opt_u64(&mut bytes).unwrap(), Some(u64::MAX - 1));
+        let mut bytes = &buf[..];
+        assert_eq!(get_opt_u64_slice(&mut bytes).unwrap(), None);
+        assert_eq!(get_opt_u64_slice(&mut bytes).unwrap(), Some(0));
+        assert_eq!(get_opt_u64_slice(&mut bytes).unwrap(), Some(u64::MAX - 1));
     }
 
     #[test]

@@ -1,30 +1,28 @@
-//! Serializing an [`EventLog`] into the container format.
+//! Serializing an [`EventLog`] into the STLOG v2 container format.
 //!
-//! [`to_bytes`] emits the current STLOG **v2** layout: block-chunked
-//! columns with a zone-mapped block directory (see the crate root for
-//! the byte layout and `st_query::pushdown` for the planner that
-//! consumes the directory). [`to_bytes_v1`] keeps the legacy flat v1
-//! encoder for fixtures and compatibility tests; [`StoreReader`] reads
-//! both.
-//!
-//! [`StoreReader`]: crate::reader::StoreReader
+//! One encoder, two thin drivers. A case encoder turns a case into
+//! block bodies plus its [`CaseDir`] entry, and a head encoder writes
+//! the magic, string table, directory and blocks length that precede
+//! the bodies. [`to_bytes_blocked`] drives them into memory;
+//! [`crate::StoreBuilder`] drives them into a spill file and publishes
+//! through the same temp → fsync → rename → dir-fsync helper
+//! [`write_atomic`] uses. Both drivers therefore emit the same
+//! bytes for the same events, interner and block size. The legacy v1
+//! encoder lives in [`crate::legacy`].
 
-use std::path::Path;
+use std::io::Write;
+use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
-use st_model::{Event, EventLog, Micros, Symbol, Syscall};
+use st_model::{CaseMeta, Event, EventLog, Interner, InternerSnapshot, Micros, Symbol, Syscall};
 
 use crate::crc::crc32;
 use crate::error::{CorruptKind, StoreError};
 use crate::format::{BlockDir, CaseDir, ZoneMap, DEFAULT_BLOCK_EVENTS, NCOLS};
 use crate::varint::{put_opt_u64, put_u64};
 
-/// v1 container magic.
-pub(crate) const MAGIC_V1: &[u8; 8] = b"STLOG1\0\0";
 /// v2 container magic.
 pub(crate) const MAGIC_V2: &[u8; 8] = b"STLOG2\0\0";
-/// The legacy flat format version.
-pub(crate) const VERSION_V1: u32 = 1;
 /// The block-chunked format version.
 pub(crate) const VERSION_V2: u32 = 2;
 /// Call-column tag marking a [`Syscall::Other`] entry (followed by the
@@ -34,7 +32,7 @@ pub(crate) const CALL_OTHER_TAG: u8 = 0xFF;
 /// Rough per-event byte cost used to pre-size the output buffer: nine
 /// columns, most of them single-byte varints, plus delta-encoded
 /// timestamps that occasionally spill to 2–3 bytes.
-const EST_BYTES_PER_EVENT: usize = 14;
+pub(crate) const EST_BYTES_PER_EVENT: usize = 14;
 
 /// Serializes `log` as STLOG v2 with the default block size
 /// ([`DEFAULT_BLOCK_EVENTS`] events per block).
@@ -52,142 +50,121 @@ pub fn to_bytes(log: &EventLog) -> Result<Bytes, StoreError> {
 pub fn to_bytes_blocked(log: &EventLog, block_events: usize) -> Result<Bytes, StoreError> {
     let _span = st_obs::span!("store.encode");
     assert!(block_events >= 1, "blocks hold at least one event");
-    check_sorted(log)?;
-
-    let snap = log.snapshot();
-    let strings_est: usize = (0..snap.len())
-        .map(|idx| snap.resolve(Symbol(idx as u32)).len() + 5)
-        .sum();
-    let n_events = log.total_events();
-    let n_blocks = log
-        .cases()
-        .iter()
-        .map(|c| c.events.len().div_ceil(block_events))
-        .sum::<usize>();
-
-    // One pre-sized buffer for the header + strings + directory, one for
-    // the block bodies (the directory precedes the bodies but depends on
-    // their offsets, so the bodies stream into their own buffer and are
-    // appended once at the end — no per-case or per-column allocations).
-    let mut out = Vec::with_capacity(64 + strings_est + log.case_count() * 32 + n_blocks * 96);
-    let mut blocks = Vec::with_capacity(n_events * EST_BYTES_PER_EVENT + n_blocks * 4);
-
-    out.extend_from_slice(MAGIC_V2);
-    out.extend_from_slice(&VERSION_V2.to_le_bytes());
-
-    // Strings section: the interner snapshot in insertion order, so
-    // symbol ids are reproduced exactly on read.
-    write_section(&mut out, |body| {
-        put_u64(body, snap.len() as u64);
-        for idx in 0..snap.len() {
-            let s = snap.resolve(Symbol(idx as u32));
-            put_u64(body, s.len() as u64);
-            body.extend_from_slice(s.as_bytes());
-        }
-    });
-
-    // Block bodies + the directory entries describing them.
-    let mut directory: Vec<CaseDir> = Vec::with_capacity(log.case_count());
+    // The directory precedes the bodies but depends on their offsets,
+    // so the bodies stream into their own buffer and are appended once
+    // at the end — no per-case or per-column allocations.
+    let mut blocks = Vec::with_capacity(log.total_events() * EST_BYTES_PER_EVENT);
+    let mut next_offset = 0u64;
+    let mut directory = Vec::with_capacity(log.case_count());
     for case in log.cases() {
-        let mut entry = CaseDir {
-            cid: case.meta.cid,
-            host: case.meta.host,
-            rid: case.meta.rid,
-            events: case.events.len() as u64,
-            start_min: case.events.first().map(|e| e.start).unwrap_or(Micros::ZERO),
-            start_max: case.events.last().map(|e| e.start).unwrap_or(Micros::ZERO),
-            blocks: Vec::with_capacity(case.events.len().div_ceil(block_events)),
-        };
-        for chunk in case.events.chunks(block_events) {
-            entry.blocks.push(write_block(&mut blocks, chunk));
-        }
-        directory.push(entry);
+        directory.push(encode_case(
+            case.meta,
+            &case.events,
+            block_events,
+            log.interner(),
+            &mut blocks,
+            &mut next_offset,
+            |_| Ok(()),
+        )?);
     }
-
-    // Directory section.
-    write_section(&mut out, |body| {
-        put_u64(body, directory.len() as u64);
-        for entry in &directory {
-            entry.encode(body);
-        }
-    });
-
-    // Blocks section: fixed length prefix, per-block CRCs (already part
-    // of each body) instead of one section-wide checksum, so a pruning
-    // reader can verify exactly the blocks it touches.
-    out.extend_from_slice(&(blocks.len() as u64).to_le_bytes());
+    let mut out = encode_head(&log.snapshot(), &directory, next_offset);
     out.extend_from_slice(&blocks);
-
     Ok(Bytes::from(out))
 }
 
-/// Writes one block body (nine column segments + CRC-32) into `out` and
-/// returns its directory entry.
-pub(crate) fn write_block(out: &mut Vec<u8>, chunk: &[Event]) -> BlockDir {
-    let body_start = out.len();
-    let mut col_lens = [0u32; NCOLS];
-    let mut col_start = out.len();
-    let mut finish_col = |out: &mut Vec<u8>, idx: usize, col_start: &mut usize| {
-        col_lens[idx] = (out.len() - *col_start) as u32;
-        *col_start = out.len();
-    };
-
-    // pid column
-    for e in chunk {
-        put_u64(out, u64::from(e.pid.0));
-    }
-    finish_col(out, 0, &mut col_start);
-    // call column
-    for e in chunk {
-        match e.call {
-            Syscall::Other(sym) => {
-                out.push(CALL_OTHER_TAG);
-                put_u64(out, u64::from(sym.0));
-            }
-            named => out.push(named.named_index().expect("named syscall")),
+/// Rejects a case whose events are not start-sorted, naming it by its
+/// `cid_host_rid` label.
+pub(crate) fn ensure_sorted(
+    meta: CaseMeta,
+    events: &[Event],
+    interner: &Interner,
+) -> Result<(), StoreError> {
+    if events.windows(2).all(|w| w[0].start <= w[1].start) {
+        Ok(())
+    } else {
+        Err(CorruptKind::UnsortedCase {
+            label: meta.label(interner),
         }
+        .into())
     }
-    finish_col(out, 1, &mut col_start);
-    // start column: first event absolute, rest delta-encoded within the
-    // block so every block decodes independently of its predecessors.
-    let mut prev = Micros::ZERO;
-    for e in chunk {
-        put_u64(out, (e.start - prev).as_micros());
-        prev = e.start;
-    }
-    finish_col(out, 2, &mut col_start);
-    // dur column
-    for e in chunk {
-        put_u64(out, e.dur.as_micros());
-    }
-    finish_col(out, 3, &mut col_start);
-    // path column
-    for e in chunk {
-        put_u64(out, u64::from(e.path.0));
-    }
-    finish_col(out, 4, &mut col_start);
-    // size / requested / offset columns (option-shifted)
-    for e in chunk {
-        put_opt_u64(out, e.size);
-    }
-    finish_col(out, 5, &mut col_start);
-    for e in chunk {
-        put_opt_u64(out, e.requested);
-    }
-    finish_col(out, 6, &mut col_start);
-    for e in chunk {
-        put_opt_u64(out, e.offset);
-    }
-    finish_col(out, 7, &mut col_start);
-    // ok column
-    for e in chunk {
-        out.push(u8::from(e.ok));
-    }
-    finish_col(out, 8, &mut col_start);
+}
 
+/// Encodes one start-sorted case into blocks of `block_events` and
+/// returns its directory entry. Each block body is appended to `buf`,
+/// placed at blocks-section offset `*next_offset` (which advances past
+/// it), and then handed to `flush` — a no-op for the in-memory driver,
+/// which keeps appending, and a spill write + clear for the streaming
+/// one. `flush` is generic, so neither driver pays a dynamic call.
+pub(crate) fn encode_case(
+    meta: CaseMeta,
+    events: &[Event],
+    block_events: usize,
+    interner: &Interner,
+    buf: &mut Vec<u8>,
+    next_offset: &mut u64,
+    mut flush: impl FnMut(&mut Vec<u8>) -> Result<(), StoreError>,
+) -> Result<CaseDir, StoreError> {
+    ensure_sorted(meta, events, interner)?;
+    let mut entry = CaseDir {
+        cid: meta.cid,
+        host: meta.host,
+        rid: meta.rid,
+        events: events.len() as u64,
+        start_min: events.first().map(|e| e.start).unwrap_or(Micros::ZERO),
+        start_max: events.last().map(|e| e.start).unwrap_or(Micros::ZERO),
+        blocks: Vec::with_capacity(events.len().div_ceil(block_events)),
+    };
+    for chunk in events.chunks(block_events) {
+        let mut block = write_block(buf, chunk);
+        block.offset = *next_offset;
+        *next_offset += u64::from(block.len);
+        flush(buf)?;
+        entry.blocks.push(block);
+    }
+    Ok(entry)
+}
+
+/// Encodes everything that precedes the block bodies: magic, version,
+/// the strings section, the directory section, and the blocks
+/// section's length prefix. Block bodies carry their own
+/// CRCs, so a pruning reader verifies exactly the blocks it touches.
+pub(crate) fn encode_head(
+    snap: &InternerSnapshot,
+    directory: &[CaseDir],
+    blocks_len: u64,
+) -> Vec<u8> {
+    let mut head = Vec::with_capacity(64 + snap.len() * 24 + directory.len() * 96);
+    head.extend_from_slice(MAGIC_V2);
+    head.extend_from_slice(&VERSION_V2.to_le_bytes());
+    write_section(&mut head, |body| encode_strings(body, snap));
+    write_section(&mut head, |body| {
+        put_u64(body, directory.len() as u64);
+        for entry in directory {
+            entry.encode(body);
+        }
+    });
+    head.extend_from_slice(&blocks_len.to_le_bytes());
+    head
+}
+
+/// Encodes a string-table body (v1 and v2 alike): the interner snapshot
+/// in insertion order, so symbol ids are reproduced exactly on read.
+pub(crate) fn encode_strings(body: &mut Vec<u8>, snap: &InternerSnapshot) {
+    put_u64(body, snap.len() as u64);
+    for idx in 0..snap.len() {
+        let s = snap.resolve(Symbol(idx as u32));
+        put_u64(body, s.len() as u64);
+        body.extend_from_slice(s.as_bytes());
+    }
+}
+
+/// Writes one block body (nine column segments + CRC-32) into `out` and
+/// returns its directory entry (offset relative to `out`).
+fn write_block(out: &mut Vec<u8>, chunk: &[Event]) -> BlockDir {
+    let body_start = out.len();
+    let col_lens = encode_columns(out, chunk);
     let crc = crc32(&out[body_start..]);
     out.extend_from_slice(&crc.to_le_bytes());
-
     BlockDir {
         events: chunk.len() as u32,
         offset: body_start as u64,
@@ -197,10 +174,76 @@ pub(crate) fn write_block(out: &mut Vec<u8>, chunk: &[Event]) -> BlockDir {
     }
 }
 
+/// Appends the nine column segments of `events` to `out` (the layout
+/// of a v2 block body and of a v1 case alike) and returns each
+/// segment's byte length.
+pub(crate) fn encode_columns(out: &mut Vec<u8>, events: &[Event]) -> [u32; NCOLS] {
+    let mut col_lens = [0u32; NCOLS];
+    let mut col_start = out.len();
+    let mut finish_col = |out: &mut Vec<u8>, idx: usize| {
+        col_lens[idx] = (out.len() - col_start) as u32;
+        col_start = out.len();
+    };
+
+    // pid column
+    for e in events {
+        put_u64(out, u64::from(e.pid.0));
+    }
+    finish_col(out, 0);
+    // call column
+    for e in events {
+        match e.call {
+            Syscall::Other(sym) => {
+                out.push(CALL_OTHER_TAG);
+                put_u64(out, u64::from(sym.0));
+            }
+            named => out.push(named.named_index().expect("named syscall")),
+        }
+    }
+    finish_col(out, 1);
+    // start column: first event absolute, rest delta-encoded, so every
+    // block decodes independently of its predecessors.
+    let mut prev = Micros::ZERO;
+    for e in events {
+        put_u64(out, (e.start - prev).as_micros());
+        prev = e.start;
+    }
+    finish_col(out, 2);
+    // dur column
+    for e in events {
+        put_u64(out, e.dur.as_micros());
+    }
+    finish_col(out, 3);
+    // path column
+    for e in events {
+        put_u64(out, u64::from(e.path.0));
+    }
+    finish_col(out, 4);
+    // size / requested / offset columns (option-shifted)
+    for e in events {
+        put_opt_u64(out, e.size);
+    }
+    finish_col(out, 5);
+    for e in events {
+        put_opt_u64(out, e.requested);
+    }
+    finish_col(out, 6);
+    for e in events {
+        put_opt_u64(out, e.offset);
+    }
+    finish_col(out, 7);
+    // ok column
+    for e in events {
+        out.push(u8::from(e.ok));
+    }
+    finish_col(out, 8);
+    col_lens
+}
+
 /// Appends a v2 section: fixed 8-byte LE length prefix, body, CRC-32.
 /// The fixed prefix lets the body stream straight into `out` (the
 /// length is patched afterwards) — no intermediate section buffer.
-pub(crate) fn write_section(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+fn write_section(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
     let len_pos = out.len();
     out.extend_from_slice(&[0u8; 8]);
     let body_start = out.len();
@@ -209,94 +252,6 @@ pub(crate) fn write_section(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) 
     out[len_pos..len_pos + 8].copy_from_slice(&body_len.to_le_bytes());
     let crc = crc32(&out[body_start..]);
     out.extend_from_slice(&crc.to_le_bytes());
-}
-
-/// Serializes `log` in the **legacy v1** flat layout (whole-case
-/// columns, no block directory). New stores should use [`to_bytes`];
-/// this encoder is retained so the pinned v1 fixtures and compatibility
-/// property tests can cross-check the v1 read path byte-for-byte.
-pub fn to_bytes_v1(log: &EventLog) -> Result<Bytes, StoreError> {
-    check_sorted(log)?;
-
-    let snap = log.snapshot();
-    let strings_est: usize = (0..snap.len())
-        .map(|idx| snap.resolve(Symbol(idx as u32)).len() + 5)
-        .sum();
-    let cases_est = 16 + log.case_count() * 16 + log.total_events() * EST_BYTES_PER_EVENT;
-
-    let mut out = Vec::with_capacity(24 + strings_est + cases_est);
-    out.extend_from_slice(MAGIC_V1);
-    out.extend_from_slice(&VERSION_V1.to_le_bytes());
-
-    // One scratch buffer serves both sections (v1 frames sections with a
-    // varint length, which cannot be patched in place), pre-sized for
-    // the larger of the two so the hot loop never reallocates.
-    let mut scratch: Vec<u8> = Vec::with_capacity(strings_est.max(cases_est));
-
-    // Strings section: the interner snapshot in insertion order, so
-    // symbol ids are reproduced exactly on read.
-    put_u64(&mut scratch, snap.len() as u64);
-    for idx in 0..snap.len() {
-        let s = snap.resolve(Symbol(idx as u32));
-        put_u64(&mut scratch, s.len() as u64);
-        scratch.extend_from_slice(s.as_bytes());
-    }
-    put_v1_section(&mut out, &scratch);
-    scratch.clear();
-
-    // Cases section: one columnar table per case.
-    put_u64(&mut scratch, log.case_count() as u64);
-    for case in log.cases() {
-        put_u64(&mut scratch, u64::from(case.meta.cid.0));
-        put_u64(&mut scratch, u64::from(case.meta.host.0));
-        put_u64(&mut scratch, u64::from(case.meta.rid));
-        put_u64(&mut scratch, case.events.len() as u64);
-        // pid column
-        for e in &case.events {
-            put_u64(&mut scratch, u64::from(e.pid.0));
-        }
-        // call column
-        for e in &case.events {
-            match e.call {
-                Syscall::Other(sym) => {
-                    scratch.push(CALL_OTHER_TAG);
-                    put_u64(&mut scratch, u64::from(sym.0));
-                }
-                named => scratch.push(named.named_index().expect("named syscall")),
-            }
-        }
-        // start column, delta-encoded against the previous event
-        let mut prev = Micros::ZERO;
-        for e in &case.events {
-            put_u64(&mut scratch, (e.start - prev).as_micros());
-            prev = e.start;
-        }
-        // dur column
-        for e in &case.events {
-            put_u64(&mut scratch, e.dur.as_micros());
-        }
-        // path column
-        for e in &case.events {
-            put_u64(&mut scratch, u64::from(e.path.0));
-        }
-        // size / requested / offset columns (option-shifted)
-        for e in &case.events {
-            put_opt_u64(&mut scratch, e.size);
-        }
-        for e in &case.events {
-            put_opt_u64(&mut scratch, e.requested);
-        }
-        for e in &case.events {
-            put_opt_u64(&mut scratch, e.offset);
-        }
-        // ok column
-        for e in &case.events {
-            scratch.push(u8::from(e.ok));
-        }
-    }
-    put_v1_section(&mut out, &scratch);
-
-    Ok(Bytes::from(out))
 }
 
 /// Writes `log` to `path` (STLOG v2), atomically: readers and crashes
@@ -314,38 +269,57 @@ pub fn write_store(log: &EventLog, path: &Path) -> Result<(), StoreError> {
 }
 
 /// Durably replaces `path` with `bytes`: write to a same-directory temp
-/// file, `fsync` it, then `rename` over the target (atomic on POSIX).
-/// The directory itself is fsynced best-effort so the rename survives a
-/// crash too. On any error the temp file is removed — an interrupted
-/// write leaves no partial container behind.
+/// file, `fsync` it, `rename` over the target (atomic on POSIX), then
+/// fsync the directory best-effort. On any error the temp file is
+/// removed and the target is untouched.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     let _span = st_obs::span!("store.write", len = bytes.len());
     st_obs::add("bytes_written", bytes.len() as u64);
-    let io_err = |source: std::io::Error| StoreError::Io {
+    publish_atomic(path, |file, tmp| {
+        file.write_all(bytes).map_err(io_error(tmp))
+    })
+}
+
+/// Maps an I/O error to [`StoreError::Io`] against `path`.
+pub(crate) fn io_error(path: &Path) -> impl Fn(std::io::Error) -> StoreError + '_ {
+    move |source| StoreError::Io {
         path: path.to_path_buf(),
         source,
-    };
-    let dir = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => std::path::PathBuf::from("."),
-    };
+    }
+}
+
+/// A pid-salted scratch file next to `path` (`.<name>.<tag>.<pid>`):
+/// same directory, because rename cannot cross filesystems, and
+/// pid-salted so concurrent writers never share one.
+pub(crate) fn scratch_path(path: &Path, tag: &str) -> Result<PathBuf, StoreError> {
     let name = path
         .file_name()
-        .ok_or_else(|| io_err(std::io::Error::other("path has no file name")))?;
-    // Same directory as the target (rename cannot cross filesystems);
-    // pid-salted so concurrent writers never share a temp file.
-    let tmp = dir.join(format!(
-        ".{}.tmp.{}",
+        .ok_or_else(|| io_error(path)(std::io::Error::other("path has no file name")))?;
+    Ok(path.with_file_name(format!(
+        ".{}.{tag}.{}",
         name.to_string_lossy(),
         std::process::id()
-    ));
+    )))
+}
+
+/// Durably replaces `path` with whatever `fill` writes: into a
+/// same-directory temp file, `fsync` it, then `rename` over the target
+/// (atomic on POSIX). The directory itself is fsynced best-effort so
+/// the rename survives a crash too. On any error the temp file is
+/// removed and the target is untouched — an interrupted write leaves no
+/// partial container behind. `fill` gets the temp file and its path
+/// (for error context).
+pub(crate) fn publish_atomic(
+    path: &Path,
+    fill: impl FnOnce(&mut std::fs::File, &Path) -> Result<(), StoreError>,
+) -> Result<(), StoreError> {
+    let tmp = scratch_path(path, "tmp")?;
     let result = (|| {
-        use std::io::Write;
-        let mut file = std::fs::File::create(&tmp).map_err(io_err)?;
-        file.write_all(bytes).map_err(io_err)?;
-        file.sync_all().map_err(io_err)?;
+        let mut file = std::fs::File::create(&tmp).map_err(io_error(&tmp))?;
+        fill(&mut file, &tmp)?;
+        file.sync_all().map_err(io_error(&tmp))?;
         drop(file);
-        std::fs::rename(&tmp, path).map_err(io_err)
+        std::fs::rename(&tmp, path).map_err(io_error(path))
     })();
     if result.is_err() {
         let _ = std::fs::remove_file(&tmp);
@@ -354,35 +328,20 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     // Make the rename itself durable. Failure here (exotic filesystems)
     // costs durability of the *name*, not integrity of the data, so it
     // is not propagated.
-    if let Ok(d) = std::fs::File::open(&dir) {
+    let dir = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    if let Ok(d) = std::fs::File::open(dir) {
         let _ = d.sync_all();
     }
     Ok(())
 }
 
-fn check_sorted(log: &EventLog) -> Result<(), StoreError> {
-    for case in log.cases() {
-        if !case.is_sorted() {
-            return Err(CorruptKind::UnsortedCase {
-                label: case.meta.label(log.interner()),
-            }
-            .into());
-        }
-    }
-    Ok(())
-}
-
-/// Appends a v1 length-prefixed, CRC-trailed section.
-fn put_v1_section(out: &mut Vec<u8>, body: &[u8]) {
-    put_u64(out, body.len() as u64);
-    out.extend_from_slice(body);
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use st_model::{Case, CaseMeta, Pid};
+    use st_model::{Case, Pid};
     use std::sync::Arc;
 
     pub(crate) fn sample_log() -> EventLog {
@@ -434,23 +393,10 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn v1_serializes_with_legacy_magic() {
-        let bytes = to_bytes_v1(&sample_log()).unwrap();
-        assert_eq!(&bytes[..8], MAGIC_V1);
-        assert_eq!(
-            u32::from_le_bytes(bytes[8..12].try_into().unwrap()),
-            VERSION_V1
-        );
-    }
-
-    #[test]
     fn rejects_unsorted_case() {
         let mut log = sample_log();
         log.cases_mut()[0].events.reverse();
         assert!(matches!(to_bytes(&log), Err(StoreError::Corrupt(_))));
-        let mut log = sample_log();
-        log.cases_mut()[0].events.reverse();
-        assert!(matches!(to_bytes_v1(&log), Err(StoreError::Corrupt(_))));
     }
 
     #[test]
@@ -458,7 +404,6 @@ pub(crate) mod tests {
         let log = EventLog::with_new_interner();
         let bytes = to_bytes(&log).unwrap();
         assert!(bytes.len() >= 12);
-        assert!(to_bytes_v1(&log).unwrap().len() >= 12);
     }
 
     #[test]
@@ -506,14 +451,12 @@ pub(crate) mod tests {
         let one = to_bytes_blocked(&log, 1).unwrap();
         let all = to_bytes_blocked(&log, 1024).unwrap();
         assert_ne!(one.len(), all.len()); // more blocks, more directory
-        let a = crate::reader::StoreReader::from_bytes(one)
-            .unwrap()
-            .read()
-            .unwrap();
-        let b = crate::reader::StoreReader::from_bytes(all)
-            .unwrap()
-            .read()
-            .unwrap();
-        assert_eq!(a.cases(), b.cases());
+        let read = |image| {
+            crate::SegmentReader::from_source(Arc::new(crate::BytesSegment::new(image)))
+                .unwrap()
+                .read()
+                .unwrap()
+        };
+        assert_eq!(read(one).cases(), read(all).cases());
     }
 }

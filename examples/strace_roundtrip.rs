@@ -55,7 +55,7 @@ fn main() {
     // 4) Store as a single container file and reload.
     let store_path = dir.join("eventlog.stlog");
     write_store(&loaded.log, &store_path).expect("store");
-    let reloaded = StoreReader::open(&store_path)
+    let reloaded = SegmentReader::open(&store_path)
         .expect("open")
         .read()
         .expect("read");

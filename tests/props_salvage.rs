@@ -11,17 +11,24 @@
 //! 3. **Single-block corruption is contained** — one flipped bit in
 //!    the blocks region quarantines exactly one block and recovers
 //!    every other block's events;
-//! 4. **fsck agrees with salvage** — the report `open_salvage` (the
-//!    `fsck` subcommand's engine) produces is identical to
-//!    `read_salvage`'s, and its recovery totals match the events the
-//!    salvage read actually returns.
+//! 4. **fsck agrees with salvage** — the report `open_salvage_seek`
+//!    (the `fsck` subcommand's engine) produces is identical to the one
+//!    a salvage-mode session acts on, and its recovery totals match the
+//!    events that session actually returns.
+//!
+//! A fifth law covers the legacy v1 boundary: seeded faults over a v1
+//! image either decode to the identical log or fail with a typed
+//! [`StoreError`] — never a panic, never a different log.
+
+use std::sync::Arc;
 
 use bytes::Bytes;
 use proptest::prelude::*;
 use st_inspector::prelude::*;
+use st_inspector::source::RecoveryPolicy;
 use st_inspector::store::{
-    read_salvage, salvage_bytes, salvage_source, to_bytes_blocked, BytesSegment, Fault, FaultKind,
-    StoreReader,
+    legacy, salvage_source, to_bytes_blocked, to_bytes_v1, BytesSegment, CorruptKind, Fault,
+    FaultKind, SalvagedSeek, StoreError,
 };
 use st_model::Syscall;
 
@@ -65,6 +72,17 @@ fn is_submultiset(a: &[String], b: &[String]) -> bool {
     a.iter().all(|row| it.any(|other| other == row))
 }
 
+fn salvage(image: &[u8]) -> Result<SalvagedSeek, StoreError> {
+    salvage_source(Arc::new(BytesSegment::new(Bytes::from(image.to_vec()))))
+}
+
+/// The strict path: open through the one v2 reader, then decode every
+/// block.
+fn strict(image: &[u8]) -> Result<EventLog, StoreError> {
+    SegmentReader::from_source(Arc::new(BytesSegment::new(Bytes::from(image.to_vec()))))
+        .and_then(|r| r.read())
+}
+
 /// Byte range of the block bodies (everything after the blocks
 /// section's u64 length prefix), computed from the documented v2
 /// layout: header, then strings and directory sections each framed as
@@ -84,7 +102,8 @@ proptest! {
     /// Laws 1 + 2 over every fault kind: salvage yields a sub-multiset
     /// of the original events (exact recovery when the report is
     /// clean), and a non-clean report implies the strict path rejects
-    /// the container.
+    /// the container. Vetting a clean container never fetches more
+    /// bytes than the image holds.
     #[test]
     fn salvage_never_invents_and_strict_rejects_flagged(
         specs in log_strategy(4, 40),
@@ -100,12 +119,10 @@ proptest! {
         let fault = Fault::seeded(FaultKind::ALL[kind_idx], seed, faulted.len());
         fault.apply(&mut faulted);
 
-        match salvage_bytes(Bytes::from(faulted.clone())) {
+        match salvage(&faulted) {
             Err(_) => {
                 // Unreadable under salvage: strict must reject too.
-                let strict = StoreReader::from_bytes(Bytes::from(faulted))
-                    .and_then(|r| r.read());
-                prop_assert!(strict.is_err(), "strict accepted what salvage could not open");
+                prop_assert!(strict(&faulted).is_err(), "strict accepted what salvage could not open");
             }
             Ok(salvaged) => {
                 // The vetted reader's decode is infallible by design.
@@ -120,11 +137,19 @@ proptest! {
                     salvaged.report.events_recovered,
                     "report totals disagree with the recovered log"
                 );
-                let strict = StoreReader::from_bytes(Bytes::from(faulted))
-                    .and_then(|r| r.read());
+                let strict = strict(&faulted);
                 if salvaged.report.is_clean() {
                     prop_assert_eq!(&got, &original, "clean report but lossy recovery");
                     prop_assert!(strict.is_ok(), "strict rejected a clean container");
+                    // A corrupt directory may claim overlapping extents,
+                    // so vetting can re-fetch bytes; only a clean
+                    // container bounds the vet I/O by the image itself.
+                    prop_assert!(
+                        salvaged.reader.bytes_read() <= faulted.len() as u64,
+                        "vetting a clean container fetched {} of {} bytes",
+                        salvaged.reader.bytes_read(),
+                        faulted.len()
+                    );
                 } else {
                     prop_assert!(strict.is_err(), "strict accepted what salvage flagged");
                 }
@@ -151,7 +176,7 @@ proptest! {
             let pos = region.start + pos_seed % region.len();
             image[pos] ^= 1 << bit;
 
-            let salvaged = salvage_bytes(Bytes::from(image)).unwrap();
+            let salvaged = salvage(&image).unwrap();
             let report = salvaged.report.clone();
             prop_assert_eq!(report.losses.len(), 1, "one flipped bit, one quarantined block");
             let lost = report.losses[0].events_lost;
@@ -166,60 +191,9 @@ proptest! {
         }
     }
 
-    /// Law 5 (seek axis): salvage through ranged fetches is invisible —
-    /// over any fault-injected image, `salvage_source` (the seek path
-    /// `fsck` and out-of-core sessions use) and `salvage_bytes` (the
-    /// resident path) produce identical reports and identical recovered
-    /// logs, or both refuse; and on a clean container vetting never
-    /// fetches more bytes than the image holds.
-    #[test]
-    fn seek_salvage_equals_resident_salvage(
-        specs in log_strategy(4, 40),
-        block_events in 1usize..12,
-        kind_idx in 0usize..FaultKind::ALL.len(),
-        seed in 0u64..1000,
-    ) {
-        let log = build_log(&specs);
-        let mut image = to_bytes_blocked(&log, block_events).unwrap().to_vec();
-        let fault = Fault::seeded(FaultKind::ALL[kind_idx], seed, image.len());
-        fault.apply(&mut image);
-        let image = Bytes::from(image);
-
-        let resident = salvage_bytes(image.clone());
-        let seek = salvage_source(std::sync::Arc::new(BytesSegment::new(image.clone())));
-        match (resident, seek) {
-            (Err(_), Err(_)) => {} // unreadable either way
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(&a.report, &b.report, "reports differ across access paths");
-                prop_assert_eq!(
-                    canonical(&a.reader.read().unwrap()),
-                    canonical(&b.reader.read().unwrap()),
-                    "recovered logs differ across access paths"
-                );
-                // A corrupt directory may claim overlapping extents, so
-                // vetting can re-fetch bytes; only a clean container
-                // bounds the vet I/O by the image itself.
-                if b.report.is_clean() {
-                    prop_assert!(
-                        b.reader.bytes_read() <= image.len() as u64,
-                        "vetting a clean container fetched {} of {} bytes",
-                        b.reader.bytes_read(),
-                        image.len()
-                    );
-                }
-            }
-            (a, b) => prop_assert!(
-                false,
-                "resident ({:?}) and seek ({:?}) disagree on readability",
-                a.is_ok(),
-                b.is_ok()
-            ),
-        }
-    }
-
-    /// Law 4: the report `fsck` sees (via `open_salvage`) is the report
-    /// `read_salvage` acts on, and its verdict reflects actual
-    /// recovery: clean means the salvage read returns the original log.
+    /// Law 4: the report `fsck` sees (via `open_salvage_seek`) is the
+    /// report a salvage-mode session acts on, and its verdict reflects
+    /// actual recovery: clean means the session holds the original log.
     #[test]
     fn fsck_report_agrees_with_salvage_recovery(
         specs in log_strategy(3, 30),
@@ -240,26 +214,62 @@ proptest! {
         let path = dir.join("case.stlog");
         std::fs::write(&path, &image).unwrap();
 
-        let opened = st_inspector::store::open_salvage(&path);
-        let read = read_salvage(&path);
-        match (opened, read) {
+        let fsck = st_inspector::store::open_salvage_seek(&path);
+        let session = Inspector::open(path.to_str().unwrap())
+            .and_then(|i| i.recovery(RecoveryPolicy::Salvage).session());
+        std::fs::remove_dir_all(&dir).ok();
+        match (fsck, session) {
             (Err(_), Err(_)) => {} // unreadable either way
-            (Ok(salvaged), Ok((recovered, report))) => {
-                prop_assert_eq!(&salvaged.report, &report, "fsck and salvage reports differ");
-                prop_assert_eq!(recovered.total_events() as u64, report.events_recovered);
+            (Ok(salvaged), Ok(session)) => {
+                let report = session.salvage().expect("salvage-mode session keeps its report");
+                prop_assert_eq!(&salvaged.report, report, "fsck and salvage reports differ");
+                prop_assert_eq!(session.log().total_events() as u64, report.events_recovered);
                 if report.verdict() == st_inspector::store::Verdict::Clean {
-                    prop_assert_eq!(canonical(&recovered), canonical(&log));
+                    prop_assert_eq!(canonical(session.log()), canonical(&log));
                 }
             }
-            (a, b) => {
-                std::fs::remove_dir_all(&dir).ok();
-                panic!(
-                    "open_salvage ({:?}) and read_salvage ({:?}) disagree on readability",
-                    a.is_ok(),
-                    b.is_ok()
-                );
-            }
+            (a, b) => prop_assert!(
+                false,
+                "fsck ({:?}) and the salvage session ({:?}) disagree on readability",
+                a.is_ok(),
+                b.is_ok()
+            ),
         }
-        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Law 5, the v1 boundary: seeded faults (truncations, bit flips,
+    /// zeroed and swapped ranges, appended garbage) over a v1 image,
+    /// read the way every caller reads a container — the v2 reader
+    /// refuses it as v1, and the legacy decoder takes over — yield the
+    /// identical log or a typed error, never a panic or a different log.
+    #[test]
+    fn v1_faults_decode_identically_or_fail_typed(
+        specs in log_strategy(3, 30),
+        kind_idx in 0usize..FaultKind::ALL.len(),
+        seed in 0u64..1000,
+    ) {
+        let log = build_log(&specs);
+        let mut image = to_bytes_v1(&log).unwrap().to_vec();
+        Fault::seeded(FaultKind::ALL[kind_idx], seed, image.len()).apply(&mut image);
+        let image = Bytes::from(image);
+
+        let read = match SegmentReader::from_source(Arc::new(BytesSegment::new(image.clone()))) {
+            Err(StoreError::Corrupt(CorruptKind::V1Seek)) => legacy::decode_v1(image),
+            other => other.and_then(|reader| reader.read()),
+        };
+        match read {
+            Ok(back) => prop_assert_eq!(canonical(&back), canonical(&log), "v1 decoded a different log"),
+            Err(e) => prop_assert!(
+                matches!(
+                    e,
+                    StoreError::Corrupt(_)
+                        | StoreError::ChecksumMismatch { .. }
+                        | StoreError::BadMagic
+                        | StoreError::UnsupportedVersion(_)
+                ),
+                "untyped failure {:?}",
+                e
+            ),
+        }
     }
 }

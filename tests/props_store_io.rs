@@ -8,10 +8,11 @@
 //! 2. **Pass-all reads the image** — a predicate that rejects nothing
 //!    fetches exactly the container's bytes, no more (no duplicate
 //!    fetches), no fewer (nothing skipped);
-//! 3. **Streaming writer ≡ resident writer** — [`StoreBuilder`]
-//!    produces bit-identical containers to [`to_bytes_blocked`] for
-//!    random logs and block sizes, with its encode buffer bounded by
-//!    the block size, not the log size;
+//! 3. **Both encoder drivers agree** — [`StoreBuilder`] (to disk)
+//!    produces bit-identical containers to [`to_bytes_blocked`] (to
+//!    memory) for random logs and block sizes — they share one case
+//!    and one head encoder, so this pins the drivers' framing — with
+//!    its encode buffer bounded by the block size, not the log size;
 //! 4. **fsck never slurps** — vetting a clean multi-block container
 //!    through the seek path fetches each section and block by its
 //!    exact extent: the largest single fetch stays below the image
@@ -106,8 +107,8 @@ proptest! {
         }
     }
 
-    /// Law 3: the streaming writer's container is bit-identical to the
-    /// resident writer's for random logs and block sizes, and its
+    /// Law 3: the streaming driver's container is bit-identical to the
+    /// in-memory driver's for random logs and block sizes, and its
     /// encode buffer never holds more than one block.
     #[test]
     fn streamed_container_matches_resident_writer(
@@ -209,8 +210,8 @@ fn fixture_path() -> PathBuf {
 }
 
 /// The golden pin for the streaming writer: its bytes over the
-/// reference log must match the checked-in fixture (and the resident
-/// writer) exactly, release after release.
+/// reference log must match the checked-in fixture (and the in-memory
+/// driver) exactly, release after release.
 #[test]
 fn streaming_writer_output_is_pinned_by_golden_fixture() {
     const BLOCK_EVENTS: usize = 4;
@@ -226,9 +227,9 @@ fn streaming_writer_output_is_pinned_by_golden_fixture() {
     let streamed = std::fs::read(&path).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 
-    // Both writers, one byte sequence.
-    let resident = to_bytes_blocked(&log, BLOCK_EVENTS).unwrap();
-    assert_eq!(&streamed[..], &resident[..]);
+    // Both drivers, one byte sequence.
+    let in_memory = to_bytes_blocked(&log, BLOCK_EVENTS).unwrap();
+    assert_eq!(&streamed[..], &in_memory[..]);
 
     if std::env::var("UPDATE_FIXTURE").is_ok() {
         std::fs::write(fixture_path(), &streamed).unwrap();

@@ -16,10 +16,16 @@ use proptest::prelude::*;
 use st_inspector::prelude::*;
 use st_inspector::query::pushdown::{read_pruned, read_pruned_par, ColumnSet, Decision, PrunePlan};
 use st_inspector::query::{CallClass, Cmp, EvalCtx};
-use st_inspector::store::{to_bytes_blocked, BytesSegment, SegmentReader, StoreReader};
+use st_inspector::store::{to_bytes_blocked, BytesSegment};
 
 mod common;
 use common::{build_log, log_strategy};
+
+/// Opens an in-memory container image through the one v2 reader. Each
+/// call is a fresh reader, so its `bytes_read` counts one query alone.
+fn open(image: &bytes::Bytes) -> SegmentReader {
+    SegmentReader::from_source(std::sync::Arc::new(BytesSegment::new(image.clone()))).unwrap()
+}
 
 /// Leaf predicates that discriminate on `common::log_strategy` logs
 /// (path alphabet, pid range, sizes, durations, timestamps) — including
@@ -87,9 +93,9 @@ proptest! {
         block_events in prop_oneof![Just(1usize), Just(3usize), Just(7usize), Just(64usize), Just(4096usize)],
     ) {
         let log = build_log(&specs);
-        let reader = StoreReader::from_bytes(to_bytes_blocked(&log, block_events).unwrap()).unwrap();
-        let pruned = read_pruned(&reader, &pred, ColumnSet::ALL).unwrap();
-        let full = reader.read().unwrap();
+        let image = to_bytes_blocked(&log, block_events).unwrap();
+        let pruned = read_pruned(&open(&image), &pred, ColumnSet::ALL).unwrap();
+        let full = open(&image).read().unwrap();
         let reference = scan(&full, &pred).to_event_log();
         // Case-by-case equality includes metas, event order, every
         // column and raw symbol ids.
@@ -102,6 +108,8 @@ proptest! {
             pruned.stats.blocks_pruned + pruned.stats.blocks_accepted
                 <= pruned.stats.blocks_total
         );
+        // Ranged fetches never exceed the container.
+        prop_assert!(pruned.stats.bytes_read <= image.len() as u64);
     }
 
     /// Law 1b: the parallel decode is invisible — fanning surviving
@@ -116,53 +124,11 @@ proptest! {
         threads in prop_oneof![Just(0usize), Just(2usize), Just(3usize), Just(8usize)],
     ) {
         let log = build_log(&specs);
-        let reader = StoreReader::from_bytes(to_bytes_blocked(&log, block_events).unwrap()).unwrap();
-        let seq = read_pruned(&reader, &pred, ColumnSet::ALL).unwrap();
-        let par = read_pruned_par(&reader, &pred, ColumnSet::ALL, threads).unwrap();
+        let image = to_bytes_blocked(&log, block_events).unwrap();
+        let seq = read_pruned(&open(&image), &pred, ColumnSet::ALL).unwrap();
+        let par = read_pruned_par(&open(&image), &pred, ColumnSet::ALL, threads).unwrap();
         prop_assert_eq!(seq.log.cases(), par.log.cases());
         prop_assert_eq!(format!("{:?}", seq.stats), format!("{:?}", par.stats));
-    }
-
-    /// Law 1c: the seek reader is invisible — pruned reads over ranged
-    /// fetches produce the resident reader's exact log (symbol ids
-    /// included) and identical pruning decisions, sequentially and in
-    /// parallel, for any block size; and the ranged route never fetches
-    /// more bytes than the container holds.
-    #[test]
-    fn seek_pruned_read_equals_resident(
-        specs in log_strategy(6, 40),
-        pred in predicate_strategy(),
-        block_events in prop_oneof![Just(1usize), Just(3usize), Just(7usize), Just(64usize), Just(4096usize)],
-        threads in prop_oneof![Just(0usize), Just(3usize)],
-    ) {
-        let log = build_log(&specs);
-        let image = to_bytes_blocked(&log, block_events).unwrap();
-        let resident = StoreReader::from_bytes(image.clone()).unwrap();
-        let reference = read_pruned(&resident, &pred, ColumnSet::ALL).unwrap();
-
-        let seek = SegmentReader::from_source(
-            std::sync::Arc::new(BytesSegment::new(image.clone())),
-        ).unwrap();
-        let seq = read_pruned(&seek, &pred, ColumnSet::ALL).unwrap();
-        prop_assert_eq!(reference.log.cases(), seq.log.cases());
-        prop_assert_eq!(reference.stats.blocks_pruned, seq.stats.blocks_pruned);
-        prop_assert_eq!(reference.stats.blocks_accepted, seq.stats.blocks_accepted);
-        prop_assert_eq!(reference.stats.bytes_decoded, seq.stats.bytes_decoded);
-        prop_assert_eq!(reference.stats.events_matched, seq.stats.events_matched);
-        prop_assert!(seq.stats.bytes_read <= image.len() as u64);
-
-        // The parallel decode over ranged fetches is equally invisible
-        // (fresh reader: bytes_read accumulates since open).
-        let seek = SegmentReader::from_source(
-            std::sync::Arc::new(BytesSegment::new(image.clone())),
-        ).unwrap();
-        let par = read_pruned_par(&seek, &pred, ColumnSet::ALL, threads).unwrap();
-        prop_assert_eq!(reference.log.cases(), par.log.cases());
-        prop_assert_eq!(reference.stats.bytes_decoded, par.stats.bytes_decoded);
-        prop_assert!(par.stats.bytes_read <= image.len() as u64);
-
-        // Full (non-pruned) reads agree too.
-        prop_assert_eq!(resident.read().unwrap().cases(), seek.read().unwrap().cases());
     }
 
     /// Law 2: block decisions are conservative — `Reject` blocks hold
@@ -174,7 +140,7 @@ proptest! {
         block_events in prop_oneof![Just(2usize), Just(5usize), Just(16usize)],
     ) {
         let log = build_log(&specs);
-        let reader = StoreReader::from_bytes(to_bytes_blocked(&log, block_events).unwrap()).unwrap();
+        let reader = open(&to_bytes_blocked(&log, block_events).unwrap());
         let full = reader.read().unwrap();
         let snapshot = full.snapshot();
         let ctx = EvalCtx {
@@ -182,7 +148,7 @@ proptest! {
             t0: full.earliest_start().unwrap_or(Micros::ZERO),
         };
         let plan = PrunePlan::compile(&pred, &reader).unwrap();
-        for case in reader.directory().unwrap() {
+        for case in reader.directory() {
             let meta = CaseMeta { cid: case.cid, host: case.host, rid: case.rid };
             let case_decision = plan.decide_case(case);
             for block in &case.blocks {
@@ -221,7 +187,7 @@ proptest! {
     ) {
         let log = build_log(&specs);
         let bytes = to_bytes_blocked(&log, block_events).unwrap();
-        let back = StoreReader::from_bytes(bytes.clone()).unwrap().read().unwrap();
+        let back = open(&bytes).read().unwrap();
         // Symbol ids survive: events and metas compare raw.
         let non_empty: Vec<_> =
             log.cases().iter().filter(|c| !c.events.is_empty()).cloned().collect();
@@ -239,14 +205,11 @@ proptest! {
     #[test]
     fn v1_reads_remain_equivalent(specs in log_strategy(5, 30)) {
         let log = build_log(&specs);
-        let v1 = StoreReader::from_bytes(st_inspector::store::to_bytes_v1(&log).unwrap())
-            .unwrap()
-            .read()
-            .unwrap();
-        let v2 = StoreReader::from_bytes(st_inspector::store::to_bytes(&log).unwrap())
-            .unwrap()
-            .read()
-            .unwrap();
+        let v1 = st_inspector::store::legacy::decode_v1(
+            st_inspector::store::to_bytes_v1(&log).unwrap(),
+        )
+        .unwrap();
+        let v2 = open(&st_inspector::store::to_bytes(&log).unwrap()).read().unwrap();
         prop_assert_eq!(v1.cases(), v2.cases());
     }
 }

@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use st_inspector::prelude::*;
-use st_inspector::store::{to_bytes, to_bytes_v1, StoreError};
+use st_inspector::store::{legacy, to_bytes, to_bytes_v1, StoreError};
 
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/v1_sample.stlog")
@@ -154,13 +154,22 @@ fn v1_fixture_is_read_byte_for_byte_identically() {
     std::fs::create_dir_all(&dir).unwrap();
     let copy = dir.join("v1_sample.stlog");
     std::fs::write(&copy, &pinned).unwrap();
-    let reader = StoreReader::open(&copy).unwrap();
-    assert_eq!(reader.version(), 1);
-    let decoded = reader.read().unwrap();
+    let decoded = legacy::read_v1(&copy).unwrap();
     assert_logs_identical(&decoded, &expected);
-    // Path-filtered v1 reads keep working too.
-    let filtered = reader.read_filtered("/scratch").unwrap();
-    assert_eq!(filtered.total_events(), 4);
+    // Path filters keep working too: scanned on v1 (no directory to
+    // push into), pushed down on the same log stored as v2.
+    let v2 = dir.join("v2_sample.stlog");
+    write_store(&expected, &v2).unwrap();
+    for (store, route) in [(&copy, "store-read+scan"), (&v2, "store-pushdown-seek")] {
+        let session = Inspector::open(store.to_str().unwrap())
+            .unwrap()
+            .filter_expr(r#"path~"*/scratch*""#)
+            .unwrap()
+            .session()
+            .unwrap();
+        assert_eq!(session.report().note("route"), Some(route));
+        assert_eq!(session.events_matched(), 4, "{route}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -173,8 +182,8 @@ fn v1_and_v2_decode_the_same_log() {
     let p2 = dir.join("two.stlog");
     std::fs::write(&p1, to_bytes_v1(&log).unwrap()).unwrap();
     std::fs::write(&p2, to_bytes(&log).unwrap()).unwrap();
-    let via_v1 = StoreReader::open(&p1).unwrap().read().unwrap();
-    let via_v2 = StoreReader::open(&p2).unwrap().read().unwrap();
+    let via_v1 = legacy::read_v1(&p1).unwrap();
+    let via_v2 = SegmentReader::open(&p2).unwrap().read().unwrap();
     assert_logs_identical(&via_v1, &via_v2);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -190,7 +199,7 @@ fn future_versions_fail_with_unsupported_version() {
     v3[8] = 3;
     let p = dir.join("three.stlog");
     std::fs::write(&p, &v3).unwrap();
-    match StoreReader::open(&p) {
+    match SegmentReader::open(&p) {
         Err(StoreError::UnsupportedVersion(3)) => {}
         other => panic!("expected UnsupportedVersion(3), got {other:?}"),
     }
@@ -200,7 +209,7 @@ fn future_versions_fail_with_unsupported_version() {
     let mut spliced = to_bytes(&reference_log()).unwrap().to_vec();
     spliced[8] = 77;
     std::fs::write(&p, &spliced).unwrap();
-    match StoreReader::open(&p) {
+    match SegmentReader::open(&p) {
         Err(StoreError::UnsupportedVersion(77)) => {}
         other => panic!("expected UnsupportedVersion(77), got {other:?}"),
     }
