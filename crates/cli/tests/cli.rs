@@ -1241,15 +1241,14 @@ fn interrupted_parse_leaves_no_partial_container() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn serve_daemon_end_to_end_matches_offline_query_and_fscks_clean() {
-    use std::io::{BufRead as _, BufReader, Read as _, Write as _};
+/// Spawns `stinspect serve -o <store>` on an ephemeral loopback port
+/// and returns the child with the address from its banner line.
+fn spawn_serve(store: &std::path::Path) -> (std::process::Child, String) {
+    use std::io::{BufRead as _, BufReader};
 
-    let dir = tmpdir("serve");
-    let store = dir.join("live.stlog2");
     let mut child = stinspect()
         .args(["serve", "-o"])
-        .arg(&store)
+        .arg(store)
         .args(["--addr", "127.0.0.1:0"])
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::null())
@@ -1266,14 +1265,20 @@ fn serve_daemon_end_to_end_matches_offline_query_and_fscks_clean() {
         .and_then(|rest| rest.split_whitespace().next())
         .expect("banner carries the bound address")
         .to_string();
+    (child, addr)
+}
 
-    // Ingest one strace stream over a plain TCP connection.
+/// POSTs one three-event strace stream to the daemon at `addr` over a
+/// plain TCP connection and requires a 200.
+fn serve_ingest_one_stream(addr: &str) {
+    use std::io::{Read as _, Write as _};
+
     let body = "\
 9054  08:55:54.153994 read(3</usr/lib/x86_64-linux-gnu/libselinux.so.1>, \"...\", 832) = 832 <0.000203>
 9054  08:55:54.156640 read(3</usr/lib/x86_64-linux-gnu/libc.so.6>, \"...\", 832) = 832 <0.000079>
 9054  08:55:54.176260 write(1</dev/pts/7>, \"...\", 50) = 50 <0.000111>
 ";
-    let mut s = std::net::TcpStream::connect(&addr).unwrap();
+    let mut s = std::net::TcpStream::connect(addr).unwrap();
     write!(
         s,
         "POST /ingest/a_host1_9042.st HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{}",
@@ -1284,6 +1289,16 @@ fn serve_daemon_end_to_end_matches_offline_query_and_fscks_clean() {
     let mut resp = String::new();
     s.read_to_string(&mut resp).unwrap();
     assert!(resp.starts_with("HTTP/1.1 200"), "{resp}");
+}
+
+#[test]
+fn serve_daemon_end_to_end_matches_offline_query_and_fscks_clean() {
+    use std::io::{Read as _, Write as _};
+
+    let dir = tmpdir("serve");
+    let store = dir.join("live.stlog2");
+    let (mut child, addr) = spawn_serve(&store);
+    serve_ingest_one_stream(&addr);
 
     // The HTTP query body is byte-identical to the offline CLI query
     // on the sealed container with the same filter.
@@ -1329,6 +1344,47 @@ fn serve_daemon_end_to_end_matches_offline_query_and_fscks_clean() {
     assert!(
         out.status.success(),
         "fsck after graceful shutdown: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[cfg(unix)]
+#[test]
+fn serve_daemon_exits_cleanly_on_sigterm() {
+    extern "C" {
+        fn kill(pid: i32, sig: i32) -> i32;
+    }
+    const SIGTERM: i32 = 15;
+
+    let dir = tmpdir("serve-sigterm");
+    let store = dir.join("live.stlog2");
+    let (mut child, addr) = spawn_serve(&store);
+    serve_ingest_one_stream(&addr);
+
+    // SIGTERM drains and seals exactly like `POST /shutdown`.
+    let pid = i32::try_from(child.id()).unwrap();
+    // SAFETY: kill(2) takes two plain integers and touches no memory
+    // of this process; `pid` is the live child spawned above.
+    assert_eq!(unsafe { kill(pid, SIGTERM) }, 0);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("serve ignored SIGTERM for 30 s");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    assert!(status.success(), "serve after SIGTERM: {status:?}");
+
+    let out = stinspect().arg("fsck").arg(&store).output().unwrap();
+    assert!(
+        out.status.success(),
+        "fsck after SIGTERM: {}",
         String::from_utf8_lossy(&out.stdout)
     );
 

@@ -4,10 +4,12 @@
 //!
 //! # Architecture
 //!
-//! One accept-loop thread plus one thread per connection (`std::net`,
-//! no async runtime). Each ingest connection streams its POST body
-//! line-at-a-time through [`st_strace::StreamParser`] and folds mapped
-//! activities into a per-stream [`DfgAccumulator`]; `GET /dfg` merges
+//! One accept-loop thread, blocked in `accept()`, plus one thread per
+//! connection (`std::net`, no async runtime); shutdown wakes the
+//! blocked accept with a single self-connect. Each ingest connection
+//! streams its POST body line-at-a-time through
+//! [`st_strace::StreamParser`] and folds mapped activities into a
+//! per-stream [`DfgAccumulator`]; `GET /dfg` merges
 //! the per-stream partials by name-aligned vector addition — the same
 //! mechanism `Dfg::par_from_mapped` uses for its worker partials —
 //! so the live graph is a merge, never a rescan.
@@ -35,7 +37,7 @@
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -74,8 +76,9 @@ pub struct ServeConfig {
     pub tail_capacity: usize,
     /// Socket read/write timeout, so dead peers release their slot.
     pub io_timeout_ms: u64,
-    /// Whether the accept loop also honors SIGTERM/SIGINT (used by the
-    /// CLI; tests drive shutdown through the API or `POST /shutdown`).
+    /// Whether SIGTERM/SIGINT also shut the daemon down, via a watcher
+    /// thread off the request path (used by the CLI; tests drive
+    /// shutdown through the API or `POST /shutdown`).
     pub handle_signals: bool,
     /// Enable st-obs at startup so `/metrics` has data.
     pub metrics: bool,
@@ -106,7 +109,8 @@ impl ServeConfig {
 pub mod sig {
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    /// Set by the handler; polled by accept loops started with
+    /// Set by the handler; polled by the signal-watcher thread of
+    /// daemons started with
     /// [`ServeConfig::handle_signals`](super::ServeConfig::handle_signals).
     pub static TRIGGERED: AtomicBool = AtomicBool::new(false);
 
@@ -162,6 +166,8 @@ struct CachedQuery {
 
 struct Shared {
     config: ServeConfig,
+    /// The bound listener address; [`request_shutdown`] connects here.
+    addr: SocketAddr,
     interner: Arc<Interner>,
     shutdown: AtomicBool,
     active_conns: AtomicUsize,
@@ -183,28 +189,28 @@ struct Shared {
 /// seals the store; prefer an explicit [`Handle::shutdown`] +
 /// [`Handle::join`] to observe errors.
 pub struct Handle {
-    addr: SocketAddr,
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
+    /// The signal watcher, when [`ServeConfig::handle_signals`] is set.
+    signals: Option<JoinHandle<()>>,
 }
 
 impl Handle {
     /// The bound socket address (useful with an ephemeral port).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.shared.addr
     }
 
     /// The bound port.
     pub fn port(&self) -> u16 {
-        self.addr.port()
+        self.shared.addr.port()
     }
 
     /// Requests shutdown: the accept loop stops taking connections,
     /// drains in-flight ones, then seals and finishes the store.
     /// Returns immediately; [`Handle::join`] observes completion.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.tail_cv.notify_all();
+        request_shutdown(&self.shared);
     }
 
     /// Waits for the daemon to exit (after [`Handle::shutdown`],
@@ -214,6 +220,10 @@ impl Handle {
         if let Some(h) = self.accept.take() {
             h.join()
                 .map_err(|_| std::io::Error::other("accept thread panicked"))?;
+        }
+        if let Some(h) = self.signals.take() {
+            h.join()
+                .map_err(|_| std::io::Error::other("signal watcher panicked"))?;
         }
         match self.shared.finish_error.lock().expect("lock").take() {
             Some(msg) => Err(std::io::Error::other(msg)),
@@ -225,8 +235,10 @@ impl Handle {
 impl Drop for Handle {
     fn drop(&mut self) {
         if let Some(h) = self.accept.take() {
-            self.shared.shutdown.store(true, Ordering::SeqCst);
-            self.shared.tail_cv.notify_all();
+            request_shutdown(&self.shared);
+            let _ = h.join();
+        }
+        if let Some(h) = self.signals.take() {
             let _ = h.join();
         }
     }
@@ -243,7 +255,6 @@ impl Daemon {
             st_obs::set_enabled(true);
         }
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let interner = Arc::new(Interner::new());
         let builder =
@@ -252,6 +263,7 @@ impl Daemon {
         let tail_capacity = config.tail_capacity;
         let shared = Arc::new(Shared {
             config,
+            addr,
             interner,
             shutdown: AtomicBool::new(false),
             active_conns: AtomicUsize::new(0),
@@ -281,11 +293,58 @@ impl Daemon {
         let accept = std::thread::Builder::new()
             .name("st-serve-accept".to_string())
             .spawn(move || accept_loop(listener, accept_shared))?;
-        Ok(Handle {
-            addr,
+        #[allow(unused_mut)] // only unix has a signal watcher
+        let mut handle = Handle {
             shared,
             accept: Some(accept),
-        })
+            signals: None,
+        };
+        #[cfg(unix)]
+        if handle.shared.config.handle_signals {
+            let watch_shared = handle.shared.clone();
+            // On failure, dropping `handle` shuts the daemon down again.
+            handle.signals = Some(
+                std::thread::Builder::new()
+                    .name("st-serve-signals".to_string())
+                    .spawn(move || watch_signals(&watch_shared))?,
+            );
+        }
+        Ok(handle)
+    }
+}
+
+/// Requests shutdown: sets the flag, wakes `/tail` long-polls, and
+/// wakes the accept loop out of its blocking `accept()` by connecting
+/// to the listener once (loopback when bound to an unspecified IP).
+/// The accept loop drops that connection unanswered. Only the first
+/// request connects; later ones find the flag already set.
+fn request_shutdown(shared: &Shared) {
+    let already = shared.shutdown.swap(true, Ordering::SeqCst);
+    shared.tail_cv.notify_all();
+    if already {
+        return;
+    }
+    let mut wake = shared.addr;
+    if wake.ip().is_unspecified() {
+        wake.set_ip(match wake {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(5));
+}
+
+/// Turns a caught SIGTERM/SIGINT into [`request_shutdown`]. Runs on
+/// its own thread so signal latency never sits on the request path;
+/// exits once the daemon is shutting down for any reason.
+#[cfg(unix)]
+fn watch_signals(shared: &Shared) {
+    while !shared.shutdown.load(Ordering::SeqCst) {
+        if sig::TRIGGERED.load(Ordering::SeqCst) {
+            request_shutdown(shared);
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(25));
     }
 }
 
@@ -306,64 +365,58 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let serve_span = st_obs::span("serve");
     let ctx = st_obs::context();
     let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        #[cfg(unix)]
-        if shared.config.handle_signals && sig::TRIGGERED.load(Ordering::SeqCst) {
-            shared.shutdown.store(true, Ordering::SeqCst);
-        }
+    for accepted in listener.incoming() {
+        // Whatever arrives after shutdown was requested — the wake-up
+        // self-connect, or a client racing the drain — is dropped
+        // unanswered.
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let _ = stream.set_nonblocking(false);
-                if shared.active_conns.load(Ordering::SeqCst) >= shared.config.max_conns {
-                    shared.conns_rejected.fetch_add(1, Ordering::SeqCst);
-                    st_obs::add("serve.conns_rejected", 1);
-                    let mut s = stream;
-                    let _ = write_response(
-                        &mut s,
-                        503,
-                        "text/plain",
-                        &[],
-                        b"connection limit reached, retry later\n",
-                    );
-                    // Drain whatever request bytes the peer already
-                    // sent before closing: unread data at close turns
-                    // the FIN into an RST and the peer may never see
-                    // the 503.
-                    let _ = s.set_read_timeout(Some(Duration::from_millis(100)));
-                    let mut scratch = [0u8; 1024];
-                    while matches!(std::io::Read::read(&mut s, &mut scratch), Ok(n) if n > 0) {}
-                    continue;
+        let stream = match accepted {
+            Ok(stream) => stream,
+            Err(e) => {
+                // A peer that reset before we took it, or an interrupted
+                // call, is retried at once. Anything else (fd or buffer
+                // exhaustion) persists until a connection closes, so
+                // back off rather than spin on it.
+                if !matches!(
+                    e.kind(),
+                    std::io::ErrorKind::ConnectionAborted
+                        | std::io::ErrorKind::ConnectionReset
+                        | std::io::ErrorKind::Interrupted
+                ) {
+                    std::thread::sleep(Duration::from_millis(10));
                 }
-                shared.active_conns.fetch_add(1, Ordering::SeqCst);
-                let conn_shared = shared.clone();
-                let conn_ctx = ctx.clone();
-                let worker = std::thread::Builder::new()
-                    .name("st-serve-conn".to_string())
-                    .spawn(move || {
-                        let _guard = ConnGuard(conn_shared.clone());
-                        let _attached = conn_ctx.attach();
-                        handle_connection(&conn_shared, stream);
-                    });
-                match worker {
-                    Ok(h) => workers.push(h),
-                    Err(_) => {
-                        // Spawn failure: the guard never ran, release
-                        // the slot and drop the connection.
-                        shared.active_conns.fetch_sub(1, Ordering::SeqCst);
-                    }
+                continue;
+            }
+        };
+        if shared.active_conns.load(Ordering::SeqCst) >= shared.config.max_conns {
+            reject_over_cap(&shared, stream);
+        } else {
+            shared.active_conns.fetch_add(1, Ordering::SeqCst);
+            let conn_shared = shared.clone();
+            let conn_ctx = ctx.clone();
+            let worker = std::thread::Builder::new()
+                .name("st-serve-conn".to_string())
+                .spawn(move || {
+                    let _guard = ConnGuard(conn_shared.clone());
+                    let _attached = conn_ctx.attach();
+                    handle_connection(&conn_shared, stream);
+                });
+            match worker {
+                Ok(h) => workers.push(h),
+                Err(_) => {
+                    // Spawn failure: the guard never ran, release
+                    // the slot and drop the connection.
+                    shared.active_conns.fetch_sub(1, Ordering::SeqCst);
                 }
-                workers.retain(|h| !h.is_finished());
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                // Idle: a quiescent point for this long-lived thread.
-                st_obs::flush_current_thread();
-                std::thread::sleep(Duration::from_millis(25));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(25)),
+            workers.retain(|h| !h.is_finished());
         }
+        // Between connections this long-lived thread is quiescent:
+        // publish its counters (`serve.conns_rejected` among them) so
+        // `/metrics` is current without waiting for shutdown.
+        st_obs::flush_current_thread();
     }
     // Drain in-flight connections, then seal the container for good.
     for h in workers {
@@ -384,6 +437,26 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     drop(sealer);
     st_obs::flush_current_thread();
     shared.tail_cv.notify_all();
+}
+
+/// Answers a connection past `max_conns` with `503` on the accept
+/// thread and counts it.
+fn reject_over_cap(shared: &Shared, mut stream: TcpStream) {
+    shared.conns_rejected.fetch_add(1, Ordering::SeqCst);
+    st_obs::add("serve.conns_rejected", 1);
+    let _ = write_response(
+        &mut stream,
+        503,
+        "text/plain",
+        &[],
+        b"connection limit reached, retry later\n",
+    );
+    // Drain whatever request bytes the peer already sent before
+    // closing: unread data at close turns the FIN into an RST and the
+    // peer may never see the 503.
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    let mut scratch = [0u8; 1024];
+    while matches!(std::io::Read::read(&mut stream, &mut scratch), Ok(n) if n > 0) {}
 }
 
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
@@ -442,8 +515,7 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         }
         ("POST", "/shutdown") => {
             respond_text(&mut writer, 200, "shutting down\n");
-            shared.shutdown.store(true, Ordering::SeqCst);
-            shared.tail_cv.notify_all();
+            request_shutdown(shared);
         }
         (_, "/query" | "/stats" | "/dfg" | "/tail" | "/metrics" | "/status" | "/shutdown") => {
             respond_text(&mut writer, 405, "method not allowed\n");

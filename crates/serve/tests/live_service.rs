@@ -265,6 +265,18 @@ fn over_cap_connections_are_rejected_with_503() {
         body.contains("conns_rejected=") && !body.contains("conns_rejected=0"),
         "{body}"
     );
+    // The obs counter agrees: the accept thread records it and
+    // publishes it right after the 503, not only when idle.
+    let (status, _, body) = get(addr, "/metrics");
+    assert_eq!(status, 200);
+    let json = String::from_utf8(body).unwrap();
+    let rejected: u64 = json
+        .split("\"serve.conns_rejected\":")
+        .nth(1)
+        .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no serve.conns_rejected counter in {json}"));
+    assert!(rejected >= 1, "{json}");
 
     handle.shutdown();
     handle.join().unwrap();
@@ -294,6 +306,62 @@ fn graceful_shutdown_leaves_fsck_clean_store() {
     assert!(salvaged.report.is_clean(), "{:?}", salvaged.report);
     let reader = st_store::SegmentReader::open(&store).unwrap();
     assert_eq!(reader.read().unwrap().cases().len(), 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sequential_requests_are_not_paced_by_an_accept_poll() {
+    let dir = tempdir("latency");
+    let handle = Daemon::start(ServeConfig::new(dir.join("live.stlog2"))).unwrap();
+    let addr = handle.addr();
+    // Warm up: the first request pays one-off setup costs.
+    assert_eq!(get(addr, "/status").0, 200);
+
+    // Each request takes well under a millisecond once accepted; an
+    // accept loop that sleeps when idle would add its poll interval
+    // to every fresh connection (40 x 25 ms = 1 s).
+    let start = std::time::Instant::now();
+    for _ in 0..40 {
+        let (status, _, _) = get(addr, "/status");
+        assert_eq!(status, 200);
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(500),
+        "40 sequential /status requests took {elapsed:?}"
+    );
+
+    handle.shutdown();
+    handle.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn shutdown_wakes_a_daemon_bound_to_an_unspecified_address() {
+    let dir = tempdir("any-addr");
+    let store = dir.join("live.stlog2");
+    let mut config = ServeConfig::new(&store);
+    config.addr = "0.0.0.0:0".to_string();
+    let handle = Daemon::start(config).unwrap();
+    assert!(handle.addr().ip().is_unspecified());
+    let addr = SocketAddr::from(([127, 0, 0, 1], handle.port()));
+
+    let (status, _) = ingest_chunked(addr, "w_hostA_7200.st", &stream_text(0, 25));
+    assert_eq!(status, 200);
+    // The shutdown wake-up must reach the accept blocked on 0.0.0.0
+    // (it connects through loopback; Linux would also route 0.0.0.0
+    // there, other systems refuse it). A missed wake-up hangs join().
+    handle.shutdown();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done_tx.send(handle.join()));
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("join() returned after shutdown()")
+        .unwrap();
+
+    let fsck = st_store::open_salvage_seek(&store).unwrap();
+    assert!(fsck.report.is_clean(), "{:?}", fsck.report);
+    assert_eq!(fsck.report.cases, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -5,7 +5,8 @@
 //! head cannot be written first — string-table and directory lengths
 //! are unknown until the last case), and `finish()` assembles the final
 //! container by writing the head into an atomic temp file, splicing the
-//! spill in with a fixed-size copy buffer, and renaming over the
+//! spill in with a file-to-file copy (`copy_file_range` on Linux, so
+//! the blocks never pass through user space), and renaming over the
 //! target. Peak memory is one block's encoding plus the directory
 //! metadata — never the event payload.
 //!
@@ -19,7 +20,7 @@
 //! untouched and cleans up both the temp file and the spill; a reader
 //! never sees a torn container.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -28,10 +29,6 @@ use st_model::{CaseMeta, Event, EventLog, Interner};
 use crate::error::StoreError;
 use crate::format::{CaseDir, DEFAULT_BLOCK_EVENTS};
 use crate::writer::{encode_case, encode_head, io_error, publish_atomic, scratch_path};
-
-/// Copy-buffer size for splicing the spill file into the final
-/// container — the only allocation `finish()` makes besides the head.
-const SPLICE_BUF: usize = 256 * 1024;
 
 /// Streams an STLOG v2 container to disk with bounded memory.
 ///
@@ -128,8 +125,8 @@ impl StoreBuilder {
     }
 
     /// Durably publishes the container as built so far **without
-    /// ending the stream**: flushes and fsyncs the spill, then runs the
-    /// same head-assembly + splice + fsync + atomic-rename sequence as
+    /// ending the stream**: flushes the spill, then runs the same
+    /// head-assembly + splice + fsync + atomic-rename sequence as
     /// [`StoreBuilder::finish`]. The builder stays usable — more cases
     /// can be pushed and checkpointed again (each checkpoint republishes
     /// the whole container), or `finish()` called to end the build.
@@ -153,14 +150,19 @@ impl StoreBuilder {
         self.publish()
     }
 
-    /// Shared publish path of `checkpoint()` and `finish()`: flushes and
-    /// fsyncs the spill without ending the stream, writes the head into
-    /// a temp file, splices exactly `blocks_offset` bytes of spill after
-    /// it, then fsyncs and renames over the target.
+    /// Shared publish path of `checkpoint()` and `finish()`: flushes the
+    /// spill without ending the stream, writes the head into a temp
+    /// file, splices exactly `blocks_offset` bytes of spill after it,
+    /// then fsyncs and renames over the target.
+    ///
+    /// The spill itself is never fsynced. It is scratch: `Drop` deletes
+    /// it and nothing reads it after a crash. The published bytes are
+    /// made durable by the temp file's fsync, the rename and the
+    /// directory fsync in `publish_atomic`; the flush only has to
+    /// hand the buffered blocks to the kernel so the splice sees them.
     fn publish(&mut self) -> Result<(), StoreError> {
         let spill_err = io_error(&self.spill_path);
         self.spill.flush().map_err(&spill_err)?;
-        self.spill.get_ref().sync_all().map_err(&spill_err)?;
         publish_atomic(&self.path, |out, tmp| {
             let head = encode_head(
                 &self.interner.snapshot(),
@@ -169,16 +171,7 @@ impl StoreBuilder {
             );
             out.write_all(&head).map_err(io_error(tmp))?;
             let mut spill = std::fs::File::open(&self.spill_path).map_err(&spill_err)?;
-            let mut buf = vec![0u8; SPLICE_BUF];
-            let mut copied = 0u64;
-            loop {
-                let n = spill.read(&mut buf).map_err(&spill_err)?;
-                if n == 0 {
-                    break;
-                }
-                out.write_all(&buf[..n]).map_err(io_error(tmp))?;
-                copied += n as u64;
-            }
+            let copied = std::io::copy(&mut spill, out).map_err(io_error(tmp))?;
             if copied != self.blocks_offset {
                 return Err(spill_err(std::io::Error::other(format!(
                     "spill holds {copied} bytes, directory describes {}",
