@@ -1,8 +1,8 @@
-//! DFG construction scaling and the sequential-vs-map-reduce ablation.
+//! Mapping and DFG construction scaling.
 //!
 //! Complexity claims (Sec. V "Implementation"): applying the mapping is
 //! O(n) (step 2) and DFG construction is a single O(n) pass over the
-//! activity log (step 3); both parallelize across cases [24, 25].
+//! activity log (step 3).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use st_bench::synth::{generate, SynthSpec};
@@ -22,9 +22,6 @@ fn bench_mapping(c: &mut Criterion) {
         group.throughput(Throughput::Elements(log.total_events() as u64));
         group.bench_with_input(BenchmarkId::new("sequential", events), &log, |b, log| {
             b.iter(|| MappedLog::new(log, &CallTopDirs::new(2)).mapped_events())
-        });
-        group.bench_with_input(BenchmarkId::new("parallel4", events), &log, |b, log| {
-            b.iter(|| MappedLog::par_new(log, &CallTopDirs::new(2), 4).mapped_events())
         });
     }
     group.finish();
@@ -47,11 +44,6 @@ fn bench_dfg_construction(c: &mut Criterion) {
             BenchmarkId::new("sequential", events),
             &mapped,
             |b, mapped| b.iter(|| Dfg::from_mapped(mapped).total_edge_observations()),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("map_reduce4", events),
-            &mapped,
-            |b, mapped| b.iter(|| Dfg::par_from_mapped(mapped, 4).total_edge_observations()),
         );
     }
     group.finish();

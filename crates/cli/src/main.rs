@@ -1,20 +1,19 @@
 //! `stinspect` — command-line front end for the DFG synthesis pipeline.
 //!
 //! ```text
-//! stinspect parse <input> -o <log.stlog> [--sequential] [--strict-names]
-//!               [--threads N] [--streaming]
+//! stinspect parse <input> -o <log.stlog> [--strict-names] [--threads N]
+//!               [--streaming]
 //! stinspect dfg <input> [--filter EXPR] [--map MAP] [--color MODE]
-//!               [--ranks] [-o out.dot] [--summary] [--no-pushdown]
-//! stinspect stats <input> [--filter EXPR] [--map MAP] [--csv] [--no-pushdown]
+//!               [--ranks] [-o out.dot] [--summary]
+//! stinspect stats <input> [--filter EXPR] [--map MAP] [--csv]
 //! stinspect timeline <input> <activity> [--filter EXPR] [--map MAP] [--width N]
-//!               [--no-pushdown]
 //! stinspect simulate <ls|ior-ssf-fpp|ior-mpiio|ssf|fpp> --out <dir> [--paper] [--emit-strace]
 //! stinspect diff <a> <b> [--cid-a CID] [--cid-b CID] [--map MAP] [--filter EXPR]
-//!               [-o out.dot] [--dot] [--no-pushdown]
+//!               [-o out.dot] [--dot]
 //! stinspect query <input> [--filter EXPR] [--then-filter EXPR]...
 //!               [--group-by file|pid|cid|host]
 //!               [--emit dfg|stats|events|store] [--map MAP] [--threads N]
-//!               [--no-pushdown] [-o PATH]
+//!               [-o PATH]
 //! stinspect fsck <store>
 //! stinspect serve -o <store> [--addr HOST:PORT] [--max-conns N]
 //!               [--block-events N] [--checkpoint-cases N]
@@ -46,8 +45,7 @@
 //! inputs the filter is pushed down into the reader by the session
 //! planner (zone-mapped blocks that cannot match are never decoded; a
 //! `pushdown:` summary line reports what was skipped) — on every
-//! subcommand, not just `query`; `--no-pushdown` forces the full-load
-//! scan path, which returns identical results. Time windows with unit
+//! subcommand, not just `query`. Time windows with unit
 //! suffixes are offsets from the log's first event (`t=[0s,2s)` = the
 //! first two seconds of the run); `HH:MM:SS[.ffffff]` endpoints are
 //! absolute times of day. `--group-by` explodes the slice into
@@ -286,28 +284,28 @@ stinspect — inspection of I/O operations from system call traces (DFG synthesi
 
 every <input> is a store file | strace dir | strace file | sim:<workload>[:paper];
 EXPR is the st-query filter syntax, e.g. pid=42 path~\"*.h5\" t=[1.2s,3s) ok=false
-(v2 store inputs push the filter into the reader; --no-pushdown forces a full scan)
+(v2 store inputs push the filter into the reader)
 
 commands:
   parse <input> -o <log.stlog>       ingest any input into a container
-      [--sequential] [--strict-names] [--threads N] [--streaming]
+      [--strict-names] [--threads N] [--streaming]
   dfg <input>                        synthesize and render the DFG
       [--filter EXPR] [--map topdirs[:K]|suffix:PREFIX|site|call]
       [--color load|bytes|partition:CID] [--ranks] [--min-edge N]
-      [-o out.dot] [--summary] [--no-pushdown]
+      [-o out.dot] [--summary]
   stats <input>                      print per-activity statistics
-      [--filter EXPR] [--map MAP] [--csv] [--no-pushdown]
+      [--filter EXPR] [--map MAP] [--csv]
   timeline <input> <activity>        per-case interval plot (Fig. 5)
-      [--map MAP] [--width N] [--filter EXPR] [--no-pushdown]
+      [--map MAP] [--width N] [--filter EXPR]
   simulate <ls|ior-ssf-fpp|ior-mpiio|ssf|fpp> --out <dir>
       [--paper] [--emit-strace]      generate a workload's event log
   diff <a> <b>                       compare two runs' DFGs
       [--cid-a CID] [--cid-b CID] [--map MAP] [--filter EXPR]
-      [-o out.dot] [--dot] [--no-stats] [--no-pushdown]
+      [-o out.dot] [--dot] [--no-stats]
   query <input>                      filter, slice and project the log
       [--filter EXPR] [--then-filter EXPR]... [--group-by file|pid|cid|host]
       [--emit dfg|stats|events|store] [--map MAP] [--threads N]
-      [--no-pushdown] [-o PATH]
+      [-o PATH]
       each --then-filter conjoins and re-queries the open container
       through the decoded-block cache (hot iterative narrowing)
   fsck <store>                       report container health
@@ -415,21 +413,19 @@ fn analysis_columns() -> ColumnSet {
 }
 
 /// Opens `input` through the session layer with the shared CLI wiring:
-/// an optional `--filter` expression, a mapping, the pushdown toggle
-/// and a column budget. Prints the session's structured warnings to
-/// stderr (the channel's CLI rendering).
+/// an optional `--filter` expression, a mapping and a column budget.
+/// Prints the session's structured warnings to stderr (the channel's
+/// CLI rendering).
 fn open_session(
     input: &str,
     filter: Option<&str>,
     map: &MapChoice,
-    no_pushdown: bool,
     columns: ColumnSet,
     policy: Policy,
 ) -> Result<Session, String> {
     let mut inspector = Inspector::open(input)
         .map_err(|e| e.to_string())?
         .map_boxed(map.build())
-        .pushdown(!no_pushdown)
         .columns(columns)
         .recovery(policy.recovery())
         .deny_warnings(policy.deny_warnings);
@@ -511,7 +507,6 @@ fn cmd_parse(tokens: &[String], policy: Policy) -> Result<(), String> {
     while let Some(tok) = args.next() {
         match tok {
             "-o" => out = Some(PathBuf::from(args.value("-o")?)),
-            "--sequential" => opts.parallel = false,
             "--strict-names" => opts.strict_names = true,
             "--streaming" => opts.streaming = true,
             "--threads" => {
@@ -526,18 +521,11 @@ fn cmd_parse(tokens: &[String], policy: Policy) -> Result<(), String> {
         }
     }
     // Contradictory worker budgets are rejected up front instead of
-    // silently ignored: `--sequential` pins the budget to one worker,
-    // and the streaming path reads each file line-at-a-time, so it can
-    // never spend a `--threads` surplus *inside* a file the way the
-    // default in-memory path does (for a single huge trace — streaming's
-    // main use case — an explicit budget would be silently reduced to 1).
-    if explicit_threads && !opts.parallel {
-        return Err(
-            "parse: --sequential and --threads conflict (sequential parsing uses one worker); \
-             drop one of the flags"
-                .to_string(),
-        );
-    }
+    // silently ignored: the streaming path reads each file
+    // line-at-a-time, so it can never spend a `--threads` surplus
+    // *inside* a file the way the default in-memory path does (for a
+    // single huge trace — streaming's main use case — an explicit
+    // budget would be silently reduced to 1).
     if explicit_threads && opts.streaming {
         return Err(
             "parse: --streaming and --threads conflict: streaming parses each file \
@@ -549,7 +537,7 @@ fn cmd_parse(tokens: &[String], policy: Policy) -> Result<(), String> {
     }
     let input = input.ok_or("parse: missing <input>")?;
     let out = out.ok_or("parse: missing -o <log.stlog>")?;
-    // Loader flags (--sequential/--streaming/--strict-names/--threads)
+    // Loader flags (--streaming/--strict-names/--threads)
     // on a store or sim: input are rejected by the session layer —
     // they shape strace text loading and would be silently inert
     // anywhere else.
@@ -581,7 +569,6 @@ struct DfgArgs {
     out: Option<PathBuf>,
     summary: bool,
     csv: bool,
-    no_pushdown: bool,
     min_edge: u64,
     width: usize,
     activity: Option<String>,
@@ -598,7 +585,6 @@ fn parse_dfg_args(tokens: &[String], positional: usize) -> Result<DfgArgs, Strin
         out: None,
         summary: false,
         csv: false,
-        no_pushdown: false,
         min_edge: 0,
         width: 72,
         activity: None,
@@ -612,7 +598,6 @@ fn parse_dfg_args(tokens: &[String], positional: usize) -> Result<DfgArgs, Strin
             "--ranks" => parsed.ranks = true,
             "--summary" => parsed.summary = true,
             "--csv" => parsed.csv = true,
-            "--no-pushdown" => parsed.no_pushdown = true,
             "--min-edge" => {
                 parsed.min_edge = args
                     .value("--min-edge")?
@@ -646,7 +631,6 @@ fn open_dfg_session(parsed: &DfgArgs, policy: Policy) -> Result<Session, String>
         &parsed.input,
         parsed.filter.as_deref(),
         &parsed.map,
-        parsed.no_pushdown,
         analysis_columns(),
         policy,
     )?;
@@ -766,7 +750,6 @@ fn cmd_diff(tokens: &[String], policy: Policy) -> Result<(), String> {
     let mut out: Option<PathBuf> = None;
     let mut dot_stdout = false;
     let mut with_stats = true;
-    let mut no_pushdown = false;
     while let Some(tok) = args.next() {
         match tok {
             "--cid-a" => cid_a = Some(args.value("--cid-a")?.to_string()),
@@ -776,7 +759,6 @@ fn cmd_diff(tokens: &[String], policy: Policy) -> Result<(), String> {
             "-o" => out = Some(PathBuf::from(args.value("-o")?)),
             "--dot" => dot_stdout = true,
             "--no-stats" => with_stats = false,
-            "--no-pushdown" => no_pushdown = true,
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
             input => inputs.push(input.to_string()),
         }
@@ -790,14 +772,7 @@ fn cmd_diff(tokens: &[String], policy: Policy) -> Result<(), String> {
     // to its cid subset if requested (e.g. `--cid-a s --cid-b f`
     // splits one ior-ssf-fpp log into the SSF and FPP runs).
     let load_side = |input: &str, cid: &Option<String>, side: &str| -> Result<Session, String> {
-        let mut session = open_session(
-            input,
-            filter.as_deref(),
-            &map,
-            no_pushdown,
-            analysis_columns(),
-            policy,
-        )?;
+        let mut session = open_session(input, filter.as_deref(), &map, analysis_columns(), policy)?;
         report_pushdown(&session, &format!("{side}: "));
         if let Some(cid) = cid {
             session = session.select_cid(cid, side).map_err(|e| e.to_string())?;
@@ -911,7 +886,6 @@ fn cmd_query(tokens: &[String], policy: Policy) -> Result<(), String> {
     let mut map = MapChoice::TopDirs(2);
     let mut explicit_map = false;
     let mut threads = 0usize;
-    let mut no_pushdown = false;
     let mut out: Option<PathBuf> = None;
     while let Some(tok) = args.next() {
         match tok {
@@ -934,7 +908,6 @@ fn cmd_query(tokens: &[String], policy: Policy) -> Result<(), String> {
                     .parse()
                     .map_err(|_| "bad --threads".to_string())?
             }
-            "--no-pushdown" => no_pushdown = true,
             "-o" => out = Some(PathBuf::from(args.value("-o")?)),
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
             positional => {
@@ -961,17 +934,6 @@ fn cmd_query(tokens: &[String], policy: Policy) -> Result<(), String> {
                 .to_string(),
         );
     }
-    // Re-querying rides the pushdown route (the cache sits under the
-    // pruning reader); with pushdown disabled the refinements could
-    // only re-scan from scratch, so reject the contradiction up front.
-    if !then_filters.is_empty() && no_pushdown {
-        return Err(
-            "query: --then-filter re-queries through pushdown; drop --no-pushdown \
-             (or run separate invocations)"
-                .to_string(),
-        );
-    }
-
     // The session plans the route: predicate pushdown on v2 stores
     // (only the blocks and columns the filter + emit mode need are
     // decoded, surviving blocks decode on the worker pool), full load +
@@ -989,7 +951,6 @@ fn cmd_query(tokens: &[String], policy: Policy) -> Result<(), String> {
     let mut inspector = Inspector::open(&input)
         .map_err(|e| e.to_string())?
         .map_boxed(map.build())
-        .pushdown(!no_pushdown)
         .columns(columns)
         .threads(threads)
         .recovery(policy.recovery())

@@ -70,6 +70,23 @@ fn simulate_parse_dfg_pipeline() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("6 cases"));
+    // The container is canonical: any worker budget writes the same bytes.
+    for threads in ["1", "8"] {
+        let again = dir.join(format!("parsed-{threads}.stlog"));
+        let out = stinspect()
+            .arg("parse")
+            .arg(&traces)
+            .args(["--threads", threads, "-o"])
+            .arg(&again)
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "--threads {threads}");
+        assert_eq!(
+            std::fs::read(&again).unwrap(),
+            std::fs::read(&parsed).unwrap(),
+            "--threads {threads}"
+        );
+    }
 
     // dfg with partition coloring, written to a file
     let dot_path = dir.join("g.dot");
@@ -360,22 +377,10 @@ fn parse_rejects_flag_combinations_streaming_cannot_honor() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("--streaming and --threads conflict"), "{err}");
-    // --sequential pins the budget to one worker; an explicit --threads
-    // contradicts it.
-    let out = stinspect()
-        .arg("parse")
-        .arg(&dir)
-        .args(["--sequential", "--threads", "2", "-o"])
-        .arg(dir.join("x.stlog"))
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--sequential and --threads conflict"), "{err}");
     // Each flag alone stays valid (empty dir parses to an empty store).
     for flags in [
         vec!["--streaming"],
-        vec!["--sequential"],
+        vec!["--threads", "1"],
         vec!["--threads", "2"],
     ] {
         let out = stinspect()
@@ -408,7 +413,6 @@ fn parse_rejects_loader_flags_on_non_text_inputs() {
     let store = dir.join("ls.stlog");
     for flags in [
         vec!["--streaming"],
-        vec!["--sequential"],
         vec!["--strict-names"],
         vec!["--threads", "4"],
     ] {
@@ -581,7 +585,7 @@ fn query_filter_store_roundtrip_and_events() {
 }
 
 #[test]
-fn query_pushdown_matches_full_load_and_reports_pruning() {
+fn query_pushdown_matches_load_and_scan_and_reports_pruning() {
     let dir = tmpdir("pushdown");
     stinspect()
         .args(["simulate", "ior-ssf-fpp", "--out"])
@@ -603,10 +607,10 @@ fn query_pushdown_matches_full_load_and_reports_pruning() {
             .args(["--filter", filter, "--emit", emit])
             .output()
             .unwrap();
+        // The same run generated in memory takes the load + scan route.
         let full = stinspect()
-            .arg("query")
-            .arg(&store)
-            .args(["--filter", filter, "--emit", emit, "--no-pushdown"])
+            .args(["query", "sim:ior-ssf-fpp"])
+            .args(["--filter", filter, "--emit", emit])
             .output()
             .unwrap();
         assert!(
@@ -716,23 +720,6 @@ fn query_then_filter_requeries_from_cache() {
         "refinement re-read the container: {warm}"
     );
 
-    // --then-filter contradicts --no-pushdown (there is no cache to
-    // re-query through on the full-scan route).
-    let out = stinspect()
-        .arg("query")
-        .arg(&store)
-        .args([
-            "--filter",
-            "class=write",
-            "--then-filter",
-            "ok=true",
-            "--no-pushdown",
-        ])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--then-filter"), "{stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -808,15 +795,14 @@ fn query_surfaces_store_corruption() {
     let idx = bytes.len() - 9; // inside the last block body
     bytes[idx] ^= 0xFF;
     std::fs::write(&store, &bytes).unwrap();
-    for flags in [&[][..], &["--no-pushdown"][..]] {
-        let out = stinspect()
-            .arg("query")
-            .arg(&store)
-            .args(["--filter", "true", "--emit", "events"])
-            .args(flags)
-            .output()
-            .unwrap();
-        assert!(!out.status.success(), "corrupt store accepted ({flags:?})");
+    let store = store.to_str().unwrap();
+    for argv in [
+        &["query", store, "--filter", "true", "--emit", "events"][..],
+        &["query", store, "--filter", "class=read", "--emit", "stats"][..],
+        &["stats", store][..],
+    ] {
+        let out = stinspect().args(argv).output().unwrap();
+        assert!(!out.status.success(), "corrupt store accepted ({argv:?})");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
             stderr.contains("checksum") || stderr.contains("corrupt"),
@@ -968,7 +954,8 @@ fn query_time_windows_are_trace_relative() {
 fn diff_pushes_filters_into_v2_stores() {
     // diff on v2 stores routes a selective --filter through predicate
     // pushdown (pruning summary on stderr, one per side) and produces
-    // output identical to the forced full-load path.
+    // output identical to the same run generated in memory (load +
+    // scan).
     let dir = tmpdir("diffpush");
     stinspect()
         .args(["simulate", "ior-ssf-fpp", "--out"])
@@ -988,18 +975,18 @@ fn diff_pushes_filters_into_v2_stores() {
             .unwrap();
         std::fs::write(&store, st_store::to_bytes_blocked(&log, 64).unwrap()).unwrap();
     }
-    let argv = |extra: &[&str]| {
-        let mut out = stinspect();
-        out.arg("diff")
-            .arg(&store)
-            .arg(&store)
+    let argv = |input: &std::ffi::OsStr| {
+        stinspect()
+            .arg("diff")
+            .arg(input)
+            .arg(input)
             .args(["--cid-a", "s", "--cid-b", "f", "--map", "site"])
             .args(["--filter", "class=write size>=512k"])
-            .args(extra);
-        out.output().unwrap()
+            .output()
+            .unwrap()
     };
-    let pushed = argv(&[]);
-    let full = argv(&["--no-pushdown"]);
+    let pushed = argv(store.as_os_str());
+    let full = argv("sim:ior-ssf-fpp".as_ref());
     assert!(
         pushed.status.success(),
         "{}",

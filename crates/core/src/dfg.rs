@@ -16,14 +16,12 @@
 //! deterministically ordered edge view that rendering and tests consume
 //! is materialized lazily, on first access.
 //!
-//! For large logs a map-reduce construction is provided
-//! ([`Dfg::par_from_mapped`]): cases are independent, so per-worker
-//! *dense partial accumulators* merge by element-wise vector addition —
+//! Cases are independent, so partial graphs merge by vector addition —
 //! the strategy of the paper's scalability references [Leemans et al.
-//! 24; Evermann 25] — without shipping whole graphs through channels.
+//! 24; Evermann 25]. [`DfgAccumulator::merge`] does exactly that for
+//! the live service's per-stream partials.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use crate::activity::{ActivityId, ActivityTable};
@@ -55,9 +53,8 @@ impl Node {
 }
 
 /// Above this node count the dense adjacency matrix stops being cheap
-/// (514² × 8 B ≈ 2 MB per accumulator — and the map-reduce path holds
-/// one accumulator *per worker*); edge accumulation falls back to a
-/// hash map, still O(1) amortized per increment.
+/// (514² × 8 B ≈ 2 MB per accumulator); edge accumulation falls back
+/// to a hash map, still O(1) amortized per increment.
 const MATRIX_MAX_NODES: usize = 512;
 
 /// Edge-count storage over dense node indices `0..n`.
@@ -116,22 +113,6 @@ impl EdgeCounts {
             }
         }
     }
-
-    fn merge(&mut self, other: &EdgeCounts) {
-        match (self, other) {
-            (EdgeCounts::Matrix(a), EdgeCounts::Matrix(b)) => {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-            }
-            (EdgeCounts::Sparse(a), EdgeCounts::Sparse(b)) => {
-                for (&edge, &c) in b {
-                    *a.entry(edge).or_insert(0) += c;
-                }
-            }
-            _ => unreachable!("partials share the node-count threshold"),
-        }
-    }
 }
 
 /// The dense count accumulator: node indices `0..m` are activities (by
@@ -184,17 +165,6 @@ impl DenseAcc {
             self.occ[self.n - 2] += w;
             self.occ[self.n - 1] += w;
         }
-    }
-
-    /// Element-wise addition of another accumulator over the same
-    /// activity-id space (the map-reduce merge).
-    fn merge(&mut self, other: &DenseAcc) {
-        debug_assert_eq!(self.n, other.n);
-        for (a, b) in self.occ.iter_mut().zip(&other.occ) {
-            *a += b;
-        }
-        self.edges.merge(&other.edges);
-        self.case_count += other.case_count;
     }
 }
 
@@ -299,62 +269,6 @@ impl Dfg {
             acc.add_trace_weighted(entry.activities.iter().copied(), entry.multiplicity as u64);
         }
         Dfg::from_acc(table.clone(), acc)
-    }
-
-    /// Map-reduce construction: cases are partitioned across `threads`
-    /// workers (0 = available parallelism); per-worker dense partial
-    /// accumulators are merged by element-wise addition. Produces
-    /// exactly the same graph as [`Dfg::from_mapped`].
-    pub fn par_from_mapped(mapped: &MappedLog<'_>, threads: usize) -> Dfg {
-        let n_cases = mapped.log().case_count();
-        let workers = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        }
-        .min(n_cases.max(1));
-        if workers <= 1 {
-            return Self::from_mapped(mapped);
-        }
-
-        let _span = st_obs::span!("dfg.build.par", workers = workers);
-        let activities = mapped.table().len();
-        let next = AtomicUsize::new(0);
-        let partials: Vec<DenseAcc> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    let mapped_ref = &mapped;
-                    scope.spawn(move || {
-                        let mut local = DenseAcc::new(activities);
-                        loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            if idx >= mapped_ref.log().case_count() {
-                                break;
-                            }
-                            local.add_trace_weighted(
-                                mapped_ref.assignments()[idx].iter().filter_map(|a| *a),
-                                1,
-                            );
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("dfg worker panicked"))
-                .collect()
-        });
-
-        let mut partials = partials.into_iter();
-        let mut merged = partials.next().expect("at least one worker");
-        for partial in partials {
-            merged.merge(&partial);
-        }
-        Dfg::from_acc(mapped.table().clone(), merged)
     }
 
     /// Number of activity slots (the dense id space, not the occurring
@@ -597,9 +511,8 @@ const ACC_END: u32 = u32::MAX - 1;
 /// streams, and the graph must be queryable *between* events. This
 /// accumulator grows its activity table on first appearance, counts
 /// edges sparsely, and merges with other accumulators by name-aligned
-/// vector addition — the same mechanism [`Dfg::par_from_mapped`] uses
-/// for its per-worker partials, extended to partials whose id spaces
-/// grew independently.
+/// vector addition — partials whose id spaces grew independently are
+/// remapped by name first.
 ///
 /// ```
 /// use st_core::{Dfg, DfgAccumulator};
@@ -825,44 +738,6 @@ mod tests {
             via_alog.edges().collect::<Vec<_>>()
         );
         assert_eq!(direct.case_count(), via_alog.case_count());
-    }
-
-    #[test]
-    fn parallel_equals_sequential() {
-        let mut log = EventLog::with_new_interner();
-        let i = Arc::clone(log.interner());
-        for rid in 0..37 {
-            let meta = CaseMeta {
-                cid: i.intern("a"),
-                host: i.intern("h"),
-                rid,
-            };
-            let events = (0..50)
-                .map(|k| {
-                    let p = format!("/dir{}/f{}", k % 5, (k + rid as usize) % 7);
-                    Event::new(
-                        Pid(rid),
-                        Syscall::Read,
-                        Micros(k as u64),
-                        Micros(1),
-                        i.intern(&p),
-                    )
-                })
-                .collect();
-            log.push_case(Case::from_events(meta, events));
-        }
-        let mapped = MappedLog::new(&log, &CallTopDirs::new(2));
-        let seq = Dfg::from_mapped(&mapped);
-        for threads in [2, 3, 8] {
-            let par = Dfg::par_from_mapped(&mapped, threads);
-            assert_eq!(
-                seq.edges().collect::<Vec<_>>(),
-                par.edges().collect::<Vec<_>>(),
-                "threads={threads}"
-            );
-            assert_eq!(seq.case_count(), par.case_count());
-            par.check_invariants().unwrap();
-        }
     }
 
     #[test]
@@ -1134,10 +1009,13 @@ mod tests {
         assert_eq!(dfg.case_count(), 1);
         assert_eq!(dfg.activity_node_count(), MATRIX_MAX_NODES + 10);
         dfg.check_invariants().unwrap();
-        let par = Dfg::par_from_mapped(&mapped, 4);
+        // One chain ● → p0 → … → p(N-1) → ■: every edge observed once.
+        assert_eq!(dfg.edges().count(), MATRIX_MAX_NODES + 11);
+        assert_eq!(dfg.total_edge_observations(), MATRIX_MAX_NODES as u64 + 11);
+        let via_view = Dfg::from_mapped_view(&mapped, &st_model::LogView::full(&log));
         assert_eq!(
             dfg.edges().collect::<Vec<_>>(),
-            par.edges().collect::<Vec<_>>()
+            via_view.edges().collect::<Vec<_>>()
         );
     }
 }

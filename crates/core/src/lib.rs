@@ -38,8 +38,8 @@
 //!   column materialized (Fig. 6 step 2), shared by everything below;
 //! * [`activity_log`] — the multiset of activity traces
 //!   `L_f(C) ∈ B(A_f*)`;
-//! * [`dfg`] — DFG construction (sequential and map-reduce parallel,
-//!   following the paper's scalability references [24, 25]);
+//! * [`dfg`] — DFG construction (one O(n) pass over the mapped log,
+//!   plus the mergeable live accumulator);
 //! * [`diff`](mod@diff) — cross-run DFG comparison: name-aligned structural diff
 //!   with frequency normalization (the Sec. V inspection loop —
 //!   SSF vs FPP, MPI-IO vs POSIX — as an operation);

@@ -4,14 +4,12 @@
 //! DataFrame (Fig. 6 step 2) and reuses it for DFG construction, the
 //! activity-log multiset, statistics and timelines. [`MappedLog`] is that
 //! artifact: per case, per event, an `Option<ActivityId>` (None = the
-//! partial mapping left the event out). Applying the mapping is O(n) and
-//! embarrassingly parallel across cases, as the paper notes; the
-//! [`MappedLog::par_new`] constructor fans cases out to worker threads
-//! and merges the per-worker activity tables by name afterwards.
+//! partial mapping left the event out). Applying the mapping is one
+//! O(n) pass, as the paper notes, memoized per call/path key for the
+//! built-in mappings.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use st_model::{Event, EventLog};
 
@@ -66,10 +64,9 @@ impl Hasher for MemoHasher {
 
 type Memo = HashMap<(u64, u32), Option<u32>, BuildHasherDefault<MemoHasher>>;
 
-/// Resolves one event's activity as a *local table id*, consulting and
+/// Resolves one event's activity as an id in `table`, consulting and
 /// feeding the memo when the mapping is call/path-keyed (`memo` is
-/// `Some` exactly then). Shared by the sequential and parallel
-/// constructors so both benefit — and stay identical.
+/// `Some` exactly then).
 #[inline]
 fn resolve_activity(
     mapping: &dyn Mapping,
@@ -138,98 +135,6 @@ impl<'log> MappedLog<'log> {
                 );
             }
             assignments.push(row);
-        }
-        MappedLog {
-            log,
-            table,
-            assignments,
-        }
-    }
-
-    /// Applies `mapping` in parallel across cases (`threads = 0` uses the
-    /// machine's available parallelism). Produces the same table ids as
-    /// [`MappedLog::new`] — worker-local tables are re-interned into a
-    /// global table in case order, so id assignment stays
-    /// first-appearance deterministic.
-    pub fn par_new(log: &'log EventLog, mapping: &dyn Mapping, threads: usize) -> Self {
-        let n_cases = log.case_count();
-        let workers = if threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            threads
-        }
-        .min(n_cases.max(1));
-        if workers <= 1 {
-            return Self::new(log, mapping);
-        }
-
-        let snapshot = log.snapshot();
-        // Worker-local results: per case, the mapped names as local ids
-        // plus the local name table.
-        let mut slots: Vec<Option<(Vec<Option<u32>>, ActivityTable)>> =
-            (0..n_cases).map(|_| None).collect();
-        {
-            let next = AtomicUsize::new(0);
-            let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    let next = &next;
-                    let snapshot = &snapshot;
-                    let cases = log.cases();
-                    scope.spawn(move || {
-                        let ctx = MapCtx { snapshot };
-                        let mut buf = String::new();
-                        loop {
-                            let idx = next.fetch_add(1, Ordering::Relaxed);
-                            if idx >= cases.len() {
-                                break;
-                            }
-                            let case = &cases[idx];
-                            let mut local = ActivityTable::new();
-                            // Per-case memo: local ids are per-case here,
-                            // so the memo cannot outlive the table it
-                            // indexes into.
-                            let mut memo = mapping.keyed_by_call_path().then(Memo::default);
-                            let mut row = Vec::with_capacity(case.events.len());
-                            for event in &case.events {
-                                row.push(resolve_activity(
-                                    mapping,
-                                    &ctx,
-                                    &case.meta,
-                                    event,
-                                    &mut local,
-                                    &mut buf,
-                                    memo.as_mut(),
-                                ));
-                            }
-                            if tx.send((idx, row, local)).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                }
-                drop(tx);
-                for (idx, row, local) in rx {
-                    slots[idx] = Some((row, local));
-                }
-            });
-        }
-
-        // Reduce: merge local tables into the global one in case order so
-        // ids match the sequential construction.
-        let mut table = ActivityTable::new();
-        let mut assignments = Vec::with_capacity(n_cases);
-        for slot in slots {
-            let (row, local) = slot.expect("every case mapped");
-            let remap: Vec<ActivityId> = local.iter().map(|(_, name)| table.intern(name)).collect();
-            assignments.push(
-                row.into_iter()
-                    .map(|opt| opt.map(|lid| remap[lid as usize]))
-                    .collect(),
-            );
         }
         MappedLog {
             log,
@@ -371,24 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_exactly() {
-        let log = sample_log(17, 23);
-        let seq = MappedLog::new(&log, &CallTopDirs::new(2));
-        for threads in [2, 4, 8] {
-            let par = MappedLog::par_new(&log, &CallTopDirs::new(2), threads);
-            assert_eq!(par.activity_count(), seq.activity_count());
-            // Same ids, not just same names: id assignment is
-            // first-appearance-in-case-order in both paths.
-            for (a, b) in seq.assignments().iter().zip(par.assignments()) {
-                assert_eq!(a, b);
-            }
-            for (id, name) in seq.table().iter() {
-                assert_eq!(par.table().name(id), name);
-            }
-        }
-    }
-
-    #[test]
     fn partial_mapping_leaves_events_unmapped() {
         let log = sample_log(1, 6);
         let m = crate::mapping::PathFilter::new("/usr/lib", CallTopDirs::new(2));
@@ -403,7 +290,7 @@ mod tests {
     fn memoized_mapping_matches_unmemoized_closure_exactly() {
         // The same Eq. 4 logic, once as the memoizable built-in and once
         // as an opaque closure (never memoized): identical ids, names
-        // and unmapped gaps, sequential and parallel.
+        // and unmapped gaps.
         let log = sample_log(9, 31);
         let builtin = crate::mapping::PathFilter::new("/", CallTopDirs::new(2));
         assert!(crate::mapping::Mapping::keyed_by_call_path(&builtin));
@@ -427,8 +314,6 @@ mod tests {
         for (id, name) in memoized.table().iter() {
             assert_eq!(plain.table().name(id), name);
         }
-        let par = MappedLog::par_new(&log, &builtin, 4);
-        assert_eq!(par.assignments(), memoized.assignments());
     }
 
     #[test]
@@ -437,7 +322,5 @@ mod tests {
         let mapped = MappedLog::new(&log, &CallTopDirs::new(2));
         assert_eq!(mapped.activity_count(), 0);
         assert_eq!(mapped.mapped_events(), 0);
-        let par = MappedLog::par_new(&log, &CallTopDirs::new(2), 4);
-        assert_eq!(par.activity_count(), 0);
     }
 }

@@ -10,9 +10,9 @@
 //! streams its POST body line-at-a-time through
 //! [`st_strace::StreamParser`] and folds mapped activities into a
 //! per-stream [`DfgAccumulator`]; `GET /dfg` merges
-//! the per-stream partials by name-aligned vector addition — the same
-//! mechanism `Dfg::par_from_mapped` uses for its worker partials —
-//! so the live graph is a merge, never a rescan.
+//! the per-stream partials by name-aligned vector addition
+//! ([`DfgAccumulator::merge`]), so the live graph is a merge, never a
+//! rescan.
 //!
 //! Completed streams are pushed into a shared [`StoreBuilder`] and
 //! published with [`StoreBuilder::checkpoint`]: fsync + atomic rename,
@@ -741,7 +741,6 @@ fn fresh_session(
 ) -> Result<Session, (u16, String)> {
     let mut inspector = Inspector::from_source(TraceSource::Live(shared.config.store_path.clone()))
         .map_boxed(Box::new(CallTopDirs::new(2)))
-        .pushdown(true)
         .columns(analysis_columns())
         .requery(true);
     if let Some(p) = pred {

@@ -7,8 +7,9 @@
 
 use std::io::{BufRead, Read, Write};
 
-/// Longest accepted request/header/chunk-size line, in bytes. Longer
-/// lines abort the request (they would otherwise buffer unboundedly).
+/// Longest accepted request/header/chunk-size line, in bytes, not
+/// counting its `\n` or `\r\n` terminator. Longer lines abort the
+/// request (they would otherwise buffer unboundedly).
 pub const MAX_LINE: usize = 8 * 1024;
 
 /// Maximum number of request headers.
@@ -316,7 +317,10 @@ fn read_line<R: BufRead>(reader: &mut R) -> std::io::Result<Option<String>> {
                     return Ok(Some(String::from_utf8_lossy(&line).into_owned()));
                 }
                 line.push(byte[0]);
-                if line.len() > MAX_LINE {
+                // A `\r` right past the limit may still be the CRLF
+                // terminator, which does not count toward the line.
+                let pending_cr = line.len() == MAX_LINE + 1 && byte[0] == b'\r';
+                if line.len() > MAX_LINE && !pending_cr {
                     return Err(bad("line too long"));
                 }
             }

@@ -109,7 +109,6 @@ fn offline_query_body(input: &str, filter: Option<&str>, emit: &str) -> String {
     let mut inspector = st_source::Inspector::open(input)
         .unwrap()
         .map_boxed(Box::new(st_core::CallTopDirs::new(2)))
-        .pushdown(true)
         .columns(
             st_store::ColumnSet::ALL
                 .without(st_store::ColumnSet::REQUESTED | st_store::ColumnSet::OFFSET),

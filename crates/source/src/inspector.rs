@@ -240,7 +240,6 @@ pub struct Inspector {
     pred: Option<Predicate>,
     mapping: Option<Box<dyn Mapping + Send + Sync>>,
     threads: usize,
-    pushdown: bool,
     columns: ColumnSet,
     load: LoadOptions,
     recovery: RecoveryPolicy,
@@ -262,7 +261,6 @@ impl Inspector {
             pred: None,
             mapping: None,
             threads: 0,
-            pushdown: true,
             columns: ColumnSet::ALL,
             load: LoadOptions::default(),
             recovery: RecoveryPolicy::default(),
@@ -313,14 +311,6 @@ impl Inspector {
         self
     }
 
-    /// Disables predicate pushdown (`enabled = false`) so v2 stores
-    /// take the full-load + scan route — the result is identical, only
-    /// the evaluation plan changes.
-    pub fn pushdown(mut self, enabled: bool) -> Inspector {
-        self.pushdown = enabled;
-        self
-    }
-
     /// The event columns the session's consumers need (default: all).
     /// On the pushdown route, columns outside `emit ∪ predicate ∪
     /// identity` are skipped without parsing; unrequested fields take
@@ -330,8 +320,8 @@ impl Inspector {
         self
     }
 
-    /// Loader options for strace-text sources (parallelism, streaming,
-    /// strict file naming). [`session`](Inspector::session) rejects
+    /// Loader options for strace-text sources (worker budget,
+    /// streaming, strict file naming). [`session`](Inspector::session) rejects
     /// non-default settings with a spec error when the source is not
     /// strace text — they would otherwise be silently inert.
     pub fn load_options(mut self, opts: LoadOptions) -> Inspector {
@@ -358,8 +348,9 @@ impl Inspector {
     /// blocks from memory instead of disk. Off by default because
     /// populating the cache costs one event memcpy per decoded block,
     /// which a one-shot query never earns back. Inert on non-store
-    /// sources and on the full-scan route ([`Session::refilter`] then
-    /// reports [`Error::RequeryUnavailable`]).
+    /// sources and on v1 stores, which decode whole
+    /// ([`Session::refilter`] then reports
+    /// [`Error::RequeryUnavailable`]).
     pub fn requery(mut self, enabled: bool) -> Inspector {
         self.requery = enabled;
         self
@@ -382,7 +373,6 @@ impl Inspector {
             pred,
             mapping,
             threads,
-            pushdown,
             columns,
             mut load,
             recovery,
@@ -399,7 +389,6 @@ impl Inspector {
         if !source.is_trace_text() {
             let inert = [
                 (load.streaming, "streaming"),
-                (!load.parallel, "sequential parsing"),
                 (load.strict_names, "strict file naming"),
                 (load.threads != 0, "a loader worker budget"),
             ];
@@ -506,7 +495,7 @@ impl Inspector {
                         // A filter against a v1 container cannot be
                         // pushed down — note the degraded route rather
                         // than silently scanning.
-                        if pushdown && pred.is_some() {
+                        if pred.is_some() {
                             warnings.push(SourceWarning::Note(format!(
                                 "{spec}: filter evaluated by full scan — v1 containers carry \
                                  no block directory for pushdown (re-encode with the current \
@@ -517,70 +506,67 @@ impl Inspector {
                     }
                     Err(e) => return Err(store_err(e)),
                 };
-                if pushdown {
-                    // Pushdown route: prune, decode survivors in
-                    // parallel, and return — the pruned log already
-                    // holds exactly the matching events, and pruned-away
-                    // blocks are never read off disk at all.
-                    // `threads == 0` hands the worker choice to the
-                    // library's cost-aware scheduler (block count ×
-                    // estimated decode bytes); an explicit request keeps
-                    // the planner's single-core forcing.
-                    let pred = pred.unwrap_or(Predicate::True);
-                    let sched_threads = if threads == 0 { 0 } else { eff_threads };
-                    let cache =
-                        requery.then(|| Arc::new(BlockCache::with_budget(DEFAULT_CACHE_BUDGET)));
-                    let pruned = match &cache {
-                        Some(cache) => {
-                            let token = cache.register();
-                            let cached = CachedBlockRead::new(&reader, cache, token);
-                            st_query::read_pruned_par(&cached, &pred, columns, sched_threads)
-                                .map(|pruned| (pruned, token))
-                        }
-                        None => st_query::read_pruned_par(&reader, &pred, columns, sched_threads)
-                            .map(|pruned| (pruned, 0)),
-                    };
-                    let (pruned, token) = pruned.map_err(store_err)?;
-                    let pushdown_route = if source.is_live() {
-                        "live-store-pushdown-seek"
-                    } else {
-                        "store-pushdown-seek"
-                    };
-                    let workers = pruned.sched.workers;
-                    let sched_reason = pruned.sched.reason.clone();
-                    let cache_stats = cache.as_ref().map(|cache| cache.stats());
-                    let requery_state = cache.map(|cache| RequeryState {
-                        reader,
-                        cache,
-                        token,
-                        columns,
-                        threads: sched_threads,
-                        spec: spec.clone(),
-                        deny_warnings,
-                    });
-                    return finalize_session(
-                        Session {
-                            source,
-                            events_total: pruned.stats.events_total as usize,
-                            cases_total: pruned.stats.cases_total,
-                            pushdown: Some(pruned.stats),
-                            log: pruned.log,
-                            warnings,
-                            salvage,
-                            mapping,
-                            report: PipelineReport::default(),
-                            cache: cache_stats,
-                            requery: requery_state,
-                        },
-                        session_span,
-                        obs_mark,
-                        pushdown_route.to_string(),
-                        workers,
-                        sched_reason,
-                        deny_warnings,
-                    );
-                }
-                reader.read().map_err(store_err)?
+                // Pushdown route: prune, decode survivors in
+                // parallel, and return — the pruned log already
+                // holds exactly the matching events, and pruned-away
+                // blocks are never read off disk at all.
+                // `threads == 0` hands the worker choice to the
+                // library's cost-aware scheduler (block count ×
+                // estimated decode bytes); an explicit request keeps
+                // the planner's single-core forcing.
+                let pred = pred.unwrap_or(Predicate::True);
+                let sched_threads = if threads == 0 { 0 } else { eff_threads };
+                let cache =
+                    requery.then(|| Arc::new(BlockCache::with_budget(DEFAULT_CACHE_BUDGET)));
+                let pruned = match &cache {
+                    Some(cache) => {
+                        let token = cache.register();
+                        let cached = CachedBlockRead::new(&reader, cache, token);
+                        st_query::read_pruned_par(&cached, &pred, columns, sched_threads)
+                            .map(|pruned| (pruned, token))
+                    }
+                    None => st_query::read_pruned_par(&reader, &pred, columns, sched_threads)
+                        .map(|pruned| (pruned, 0)),
+                };
+                let (pruned, token) = pruned.map_err(store_err)?;
+                let pushdown_route = if source.is_live() {
+                    "live-store-pushdown-seek"
+                } else {
+                    "store-pushdown-seek"
+                };
+                let workers = pruned.sched.workers;
+                let sched_reason = pruned.sched.reason.clone();
+                let cache_stats = cache.as_ref().map(|cache| cache.stats());
+                let requery_state = cache.map(|cache| RequeryState {
+                    reader,
+                    cache,
+                    token,
+                    columns,
+                    threads: sched_threads,
+                    spec: spec.clone(),
+                    deny_warnings,
+                });
+                return finalize_session(
+                    Session {
+                        source,
+                        events_total: pruned.stats.events_total as usize,
+                        cases_total: pruned.stats.cases_total,
+                        pushdown: Some(pruned.stats),
+                        log: pruned.log,
+                        warnings,
+                        salvage,
+                        mapping,
+                        report: PipelineReport::default(),
+                        cache: cache_stats,
+                        requery: requery_state,
+                    },
+                    session_span,
+                    obs_mark,
+                    pushdown_route.to_string(),
+                    workers,
+                    sched_reason,
+                    deny_warnings,
+                );
             }
         };
 
@@ -649,7 +635,6 @@ impl std::fmt::Debug for Inspector {
             .field("source", &self.source)
             .field("pred", &self.pred)
             .field("threads", &self.threads)
-            .field("pushdown", &self.pushdown)
             .finish_non_exhaustive()
     }
 }
@@ -818,12 +803,12 @@ impl Session {
     /// `bytes_read` (disk traffic of *this* refinement alone) and
     /// `cache.*` counters, under route `store-requery-seek` (the store
     /// routes are `store-pushdown-seek`, `store-requery-seek`, and
-    /// `store-read` — plus `+scan` when filtered — for full decodes,
-    /// v1 containers included; `live:` sources prefix `live-`).
+    /// `store-read` — plus `+scan` when filtered — for v1 containers,
+    /// which decode whole; `live:` sources prefix `live-`).
     ///
     /// Fails with [`Error::RequeryUnavailable`] when the session
     /// retained no re-query state ([`Inspector::requery`] off, or a
-    /// route without pushdown).
+    /// route without pushdown: a v1 store or a non-store source).
     pub fn refilter(mut self, pred: Predicate) -> Result<Session, Error> {
         let Some(state) = self.requery.take() else {
             let reason = if self.pushdown.is_some() {
@@ -925,10 +910,18 @@ mod tests {
         assert!(!stats.is_empty());
     }
 
+    /// The log's events as interner-independent CSV rows, sorted, so
+    /// logs loaded through different string tables compare by value.
+    fn sorted_rows(log: &EventLog) -> Vec<String> {
+        let mut rows: Vec<String> = st_strace::to_csv(log).lines().map(str::to_string).collect();
+        rows.sort();
+        rows
+    }
+
     #[test]
     fn filter_narrows_identically_across_routes() {
         // The same filtered slice must fall out of the sim route, the
-        // pushdown route, and the forced full-load route.
+        // store pushdown route, and the strace-text load + scan route.
         let dir = tmpdir("routes");
         let log = sim::workload_log("ls", false).unwrap();
         let store = dir.join("ls.stlog");
@@ -947,16 +940,17 @@ mod tests {
             .session()
             .unwrap();
         assert!(via_pushdown.pushdown().is_some());
-        let via_full = Inspector::open(spec)
+        let traces = dir.join("traces");
+        st_strace::write_log_to_dir(&log, &traces, &st_strace::WriteOptions::default()).unwrap();
+        let via_text = Inspector::open(traces.to_str().unwrap())
             .unwrap()
-            .pushdown(false)
             .filter(pred)
             .session()
             .unwrap();
-        assert!(via_full.pushdown().is_none());
+        assert_eq!(via_text.report().note("route"), Some("trace-load+scan"));
 
         assert_eq!(via_sim.cases(), via_pushdown.log().cases());
-        assert_eq!(via_sim.cases(), via_full.log().cases());
+        assert_eq!(sorted_rows(&via_sim), sorted_rows(via_text.log()));
 
         // The same filter against a v1 container scans identically but
         // notes the degraded route through the warning channel.
@@ -1121,33 +1115,42 @@ mod tests {
         assert!(matches!(err, Error::Store { .. }), "{err}");
 
         // Salvage materializes the surviving events, reports each loss
-        // as a warning, and keeps the report on the session — on both
-        // the pushdown and the full-read route.
+        // as a warning, and keeps the report on the session.
         let full_events = sim::workload_log("ls", false).unwrap().total_events();
-        for pushdown in [true, false] {
-            let session = Inspector::open(spec)
-                .unwrap()
-                .recovery(RecoveryPolicy::Salvage)
-                .pushdown(pushdown)
-                .session()
-                .unwrap();
-            let report = session.salvage().expect("salvage report");
-            assert_eq!(report.losses.len(), 1);
-            assert!(session.events_matched() < full_events);
-            assert_eq!(
-                session.events_matched() as u64,
-                report.events_recovered,
-                "pushdown={pushdown}"
-            );
-            assert!(
-                session
-                    .warnings()
-                    .iter()
-                    .any(|w| matches!(w, SourceWarning::Store { .. })),
-                "{:?}",
-                session.warnings()
-            );
-        }
+        let salvaged = Inspector::open(spec)
+            .unwrap()
+            .recovery(RecoveryPolicy::Salvage)
+            .session()
+            .unwrap();
+        let report = salvaged.salvage().expect("salvage report");
+        assert_eq!(report.losses.len(), 1);
+        assert!(salvaged.events_matched() < full_events);
+        assert_eq!(salvaged.events_matched() as u64, report.events_recovered);
+        assert!(
+            salvaged
+                .warnings()
+                .iter()
+                .any(|w| matches!(w, SourceWarning::Store { .. })),
+            "{:?}",
+            salvaged.warnings()
+        );
+
+        // A filtered salvage session pushes the filter down and keeps
+        // exactly what a scan of the recovered events keeps.
+        let pred = parse_expr("class=read").unwrap();
+        let filtered = Inspector::open(spec)
+            .unwrap()
+            .recovery(RecoveryPolicy::Salvage)
+            .filter(pred.clone())
+            .session()
+            .unwrap();
+        assert!(filtered.pushdown().is_some());
+        assert_eq!(filtered.salvage().unwrap().losses.len(), 1);
+        assert!(filtered.events_matched() > 0);
+        assert_eq!(
+            filtered.log().cases(),
+            st_query::scan(salvaged.log(), &pred).to_event_log().cases()
+        );
 
         // A pristine store under salvage policy: clean report, nothing
         // lost, no warnings.

@@ -9,7 +9,7 @@
 //!   input (store file, strace directory, single strace file,
 //!   `sim:<workload>[:paper]` spec) with capability flags
 //!   ([`supports_pushdown`](TraceSource::supports_pushdown),
-//!   [`supports_streaming`](TraceSource::supports_streaming));
+//!   [`is_trace_text`](TraceSource::is_trace_text));
 //! * [`Inspector`] — a builder-style session that plans the cheapest
 //!   evaluation route per source (predicate pushdown on v2 stores,
 //!   parallel zero-copy loading for strace text, the table-driven

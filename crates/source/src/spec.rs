@@ -76,17 +76,11 @@ impl TraceSource {
         matches!(self, TraceSource::Live(_))
     }
 
-    /// Whether the source can be consumed line-at-a-time in constant
-    /// memory (strace text); stores and simulated logs materialize
-    /// whole structures instead.
-    pub fn supports_streaming(&self) -> bool {
-        matches!(self, TraceSource::TraceDir(_) | TraceSource::TraceFile(_))
-    }
-
     /// Whether the source is strace text (and therefore honors
-    /// [`st_strace::LoadOptions`]).
+    /// [`st_strace::LoadOptions`]); stores and simulated logs
+    /// materialize whole structures instead.
     pub fn is_trace_text(&self) -> bool {
-        self.supports_streaming()
+        matches!(self, TraceSource::TraceDir(_) | TraceSource::TraceFile(_))
     }
 }
 
@@ -224,7 +218,7 @@ mod tests {
             );
             assert_eq!(src.to_string(), spec);
             assert!(!src.supports_pushdown());
-            assert!(!src.supports_streaming());
+            assert!(!src.is_trace_text());
         }
     }
 
@@ -241,7 +235,7 @@ mod tests {
         assert!(src.is_live());
         // No container yet → no pushdown/seek capabilities yet.
         assert!(!src.supports_pushdown());
-        assert!(!src.supports_streaming());
+        assert!(!src.is_trace_text());
 
         // Once a v2 container appears at the path, capabilities follow.
         let dir = std::env::temp_dir().join(format!("st-source-live-{}", std::process::id()));
@@ -290,7 +284,7 @@ mod tests {
         .unwrap();
         let as_file: TraceSource = trace.to_str().unwrap().parse().unwrap();
         assert_eq!(as_file, TraceSource::TraceFile(trace.clone()));
-        assert!(as_file.supports_streaming() && !as_file.supports_pushdown());
+        assert!(as_file.is_trace_text() && !as_file.supports_pushdown());
 
         let store = dir.join("x.stlog");
         let log = st_model::EventLog::with_new_interner();

@@ -369,21 +369,24 @@ pub fn salvage_source(source: Arc<dyn SegmentSource>) -> Result<SalvagedSeek, St
             } else {
                 let raw = source.read_at(blocks_start + block.offset, block.len as usize)?;
                 fetched += u64::from(block.len);
-                let body_len = block.len as usize - 4;
-                let expected =
-                    u32::from_le_bytes(raw[body_len..].try_into().expect("4 trailer bytes"));
-                let got = crc32(&raw[..body_len]);
-                if got != expected {
-                    Some(BlockLossReason::Checksum { expected, got })
-                } else {
-                    scratch.clear();
-                    match decode_block_bytes(&raw, &block, ColumnSet::ALL, &strings, &mut scratch) {
-                        Ok(_) => None,
-                        Err(StoreError::Corrupt(kind)) => Some(BlockLossReason::Decode(kind)),
-                        // Only Corrupt/Checksum can come out of a
-                        // decode; anything else would be a logic error.
-                        Err(_) => Some(BlockLossReason::Decode(CorruptKind::SegmentOutOfBounds)),
+                // The trial decode checks the CRC itself; the two CRC
+                // values are recomputed only to report a mismatch.
+                scratch.clear();
+                match decode_block_bytes(&raw, &block, ColumnSet::ALL, &strings, &mut scratch) {
+                    Ok(_) => None,
+                    Err(StoreError::ChecksumMismatch { .. }) => {
+                        let body_len = raw.len() - 4;
+                        Some(BlockLossReason::Checksum {
+                            expected: u32::from_le_bytes(
+                                raw[body_len..].try_into().expect("4 trailer bytes"),
+                            ),
+                            got: crc32(&raw[..body_len]),
+                        })
                     }
+                    Err(StoreError::Corrupt(kind)) => Some(BlockLossReason::Decode(kind)),
+                    // Only Corrupt/Checksum can come out of a decode;
+                    // anything else would be a logic error.
+                    Err(_) => Some(BlockLossReason::Decode(CorruptKind::SegmentOutOfBounds)),
                 }
             };
             match reason {
@@ -630,7 +633,7 @@ mod tests {
     #[test]
     fn single_corrupt_block_quarantines_only_that_block() {
         let image = v2_image();
-        let (off, _) = block_extent(&image, 0, 1);
+        let (off, len) = block_extent(&image, 0, 1);
         let mut damaged = image.clone();
         damaged[off + 2] ^= 0x10;
 
@@ -645,10 +648,17 @@ mod tests {
         assert_eq!(report.losses[0].block, 1);
         assert_eq!(report.losses[0].cid, "a");
         assert_eq!(report.losses[0].events_lost, 2);
-        assert!(matches!(
+        // The loss carries the trailer's CRC and the damaged body's.
+        let body = &damaged[off..off + len - 4];
+        let trailer = u32::from_le_bytes(damaged[off + len - 4..off + len].try_into().unwrap());
+        assert_eq!(
             report.losses[0].reason,
-            BlockLossReason::Checksum { .. }
-        ));
+            BlockLossReason::Checksum {
+                expected: trailer,
+                got: crc32(body),
+            }
+        );
+        assert_ne!(trailer, crc32(body));
         assert_eq!(report.events_recovered, 3);
 
         // Recovered events are byte-identical to the originals.

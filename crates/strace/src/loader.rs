@@ -22,9 +22,8 @@ use crate::parser::{parse_par, parse_reader, parse_str};
 /// Options for [`load_dir`] / [`load_files`].
 #[derive(Debug, Clone)]
 pub struct LoadOptions {
-    /// Parse files on multiple threads (one file per task).
-    pub parallel: bool,
-    /// Worker count; `0` uses the machine's available parallelism.
+    /// Worker count; `0` uses the machine's available parallelism and
+    /// `1` parses sequentially on the calling thread.
     pub threads: usize,
     /// Fail on file names that do not follow the `<cid>_<host>_<rid>.st`
     /// convention. When `false`, a fallback identity (cid = file stem,
@@ -32,17 +31,19 @@ pub struct LoadOptions {
     pub strict_names: bool,
     /// Only consider files with this extension in [`load_dir`].
     pub extension: String,
-    /// Stream each file line-at-a-time (constant memory per worker)
-    /// instead of reading it into memory for the zero-copy parse.
-    /// Slower, but bounds peak memory to one line per worker — use it
-    /// when `workers × file size` would not fit in RAM.
+    /// Stream each file line-at-a-time instead of reading it into
+    /// memory for the zero-copy parse. Slower, but the trace *text*
+    /// held per worker shrinks to one line, so peak memory no longer
+    /// grows with `workers × file size`. The parsed events still stay
+    /// resident (about 88 bytes per event), so memory is bounded by
+    /// the log, not by a line — use it when the text would not fit in
+    /// RAM beside the parsed log.
     pub streaming: bool,
 }
 
 impl Default for LoadOptions {
     fn default() -> Self {
         LoadOptions {
-            parallel: true,
             threads: 0,
             strict_names: false,
             extension: "st".to_string(),
@@ -120,17 +121,12 @@ pub fn load_files(
     // `requested` is the total worker budget; `n_workers` caps the
     // across-files fan-out at the file count. When the budget exceeds
     // what files alone can use, the surplus moves *inside* each file.
-    let requested = if opts.parallel {
-        let avail = std::thread::available_parallelism()
+    let requested = if opts.threads == 0 {
+        std::thread::available_parallelism()
             .map(|n| n.get())
-            .unwrap_or(1);
-        if opts.threads == 0 {
-            avail
-        } else {
-            opts.threads
-        }
+            .unwrap_or(1)
     } else {
-        1
+        opts.threads
     };
     let n_workers = requested.min(files.len().max(1));
 
@@ -297,7 +293,7 @@ mod tests {
             &dir,
             Interner::new_shared(),
             &LoadOptions {
-                parallel: false,
+                threads: 1,
                 ..Default::default()
             },
         )
@@ -306,7 +302,6 @@ mod tests {
             &dir,
             Interner::new_shared(),
             &LoadOptions {
-                parallel: true,
                 threads: 4,
                 ..Default::default()
             },
@@ -345,7 +340,7 @@ mod tests {
             &dir,
             Interner::new_shared(),
             &LoadOptions {
-                parallel: false,
+                threads: 1,
                 ..Default::default()
             },
         )
@@ -354,7 +349,6 @@ mod tests {
             &dir,
             Interner::new_shared(),
             &LoadOptions {
-                parallel: true,
                 threads: 8,
                 ..Default::default()
             },

@@ -673,12 +673,22 @@ pub fn parse_reader<R: BufRead>(
             break;
         }
         lineno += 1;
-        state.feed(lineno, buf.trim_end_matches(['\n', '\r']), interner);
+        state.feed(lineno, strip_line_end(&buf), interner);
     }
     let parsed = state.finish();
     st_obs::add("events_parsed", parsed.events.len() as u64);
     st_obs::add("symbols_interned", (interner.len() - symbols_before) as u64);
     Ok(parsed)
+}
+
+/// Strips one line terminator exactly as [`str::lines`] does (`\n` or
+/// `\r\n`; a bare trailing `\r` stays), so the line-at-a-time parsers
+/// see the same lines as [`parse_str`].
+fn strip_line_end(line: &str) -> &str {
+    match line.strip_suffix('\n') {
+        Some(line) => line.strip_suffix('\r').unwrap_or(line),
+        None => line,
+    }
 }
 
 /// Incremental line-at-a-time parser for live ingest.
@@ -727,15 +737,13 @@ impl StreamParser {
         }
     }
 
-    /// Feeds one trace line (trailing `\n`/`\r` are stripped; line
-    /// numbers for warnings count from 1 in feed order).
+    /// Feeds one trace line (one trailing `\n` or `\r\n` is stripped,
+    /// as [`str::lines`] does; line numbers for warnings count from 1
+    /// in feed order).
     pub fn feed_line(&mut self, line: &str) {
         self.lineno += 1;
-        self.state.feed(
-            self.lineno,
-            line.trim_end_matches(['\n', '\r']),
-            &self.interner,
-        );
+        self.state
+            .feed(self.lineno, strip_line_end(line), &self.interner);
     }
 
     /// Iterates over events completed since the previous poll, in

@@ -115,39 +115,31 @@ fn full_pipeline_runs_on_ior_and_renders() {
 }
 
 #[test]
-fn parallel_loader_and_mapper_match_sequential_end_to_end() {
+fn parallel_loader_matches_sequential_end_to_end() {
     let original = simulate_ls_pair();
     let dir = std::env::temp_dir().join(format!("st-e2e-par-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     write_log_to_dir(&original, &dir, &WriteOptions::default()).unwrap();
 
-    let seq = load_dir(
-        &dir,
-        Interner::new_shared(),
-        &LoadOptions {
-            parallel: false,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let par = load_dir(
-        &dir,
-        Interner::new_shared(),
-        &LoadOptions {
-            parallel: true,
-            threads: 4,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let load = |threads: usize| {
+        load_dir(
+            &dir,
+            Interner::new_shared(),
+            &LoadOptions {
+                threads,
+                ..Default::default()
+            },
+        )
+        .unwrap()
+    };
+    let seq = load(1);
+    let par = load(4);
 
     let mapping = CallTopDirs::new(2);
-    let m_seq = MappedLog::new(&seq.log, &mapping);
-    let m_par = MappedLog::par_new(&par.log, &mapping, 4);
-    assert_eq!(
-        dfg_edges_by_name(&Dfg::from_mapped(&m_seq)),
-        dfg_edges_by_name(&Dfg::par_from_mapped(&m_par, 4))
-    );
+    let dfg_of =
+        |log: &EventLog| dfg_edges_by_name(&Dfg::from_mapped(&MappedLog::new(log, &mapping)));
+    assert_eq!(dfg_of(&seq.log), dfg_of(&par.log));
+    assert_eq!(dfg_of(&seq.log), dfg_of(&original));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -1,13 +1,19 @@
-//! Property-based equivalence of the chunked parallel trace parser:
-//! `parse_par` must produce exactly what `parse_str` produces — same
-//! events (including interned symbol ids when both start from fresh
-//! interners) and same warnings in the same order — for any thread
-//! count and any input, including traces whose `<unfinished ...>` /
-//! `resumed` pairs straddle chunk boundaries.
+//! Property-based equivalence of the trace parsers: `parse_par` must
+//! produce exactly what `parse_str` produces — same events (including
+//! interned symbol ids when both start from fresh interners) and same
+//! warnings in the same order — for any thread count and any input,
+//! including traces whose `<unfinished ...>` / `resumed` pairs straddle
+//! chunk boundaries. The line-at-a-time parsers (`parse_reader` and the
+//! daemon's `StreamParser`) must match `parse_str` too. Inputs mix well-formed records with arbitrary bytes
+//! and damaged (truncated, byte-flipped) records; no parser may panic,
+//! and warnings stay capped.
+
+use std::io::Cursor;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use st_inspector::model::Interner;
-use st_inspector::strace::{parse_par, parse_str};
+use st_inspector::strace::{parse_par, parse_reader, parse_str, StreamParser, WARNING_CAP};
 
 /// One generated trace record. Delays on split calls schedule the
 /// `resumed` line several records later, so pairs regularly land in
@@ -43,6 +49,18 @@ enum TraceOp {
     Noise { pid: u32, exit: bool },
     /// An `ERESTARTSYS`-interrupted record.
     Restarted { pid: u32 },
+    /// A single-line record damaged in transit: bytes XOR-flipped
+    /// (`(position, mask)`, positions modulo the line length), then cut
+    /// to `cut` bytes (modulo the length + 1) when set.
+    Mangled {
+        base: Box<TraceOp>,
+        flips: Vec<(usize, u8)>,
+        cut: Option<usize>,
+    },
+    /// Arbitrary bytes, decoded lossily to UTF-8; may hold line breaks.
+    Bytes(Vec<u8>),
+    /// A run of unparsable lines, enough to trip the warning cap.
+    Flood(usize),
 }
 
 fn pid_strategy() -> impl Strategy<Value = u32> {
@@ -57,6 +75,41 @@ fn path_strategy() -> impl Strategy<Value = &'static str> {
         "/dev/pts/7",
         "/proc/filesystems",
     ])
+}
+
+/// The ops that render as exactly one line, damaged by `Mangled`.
+fn record_strategy() -> impl Strategy<Value = TraceOp> {
+    prop_oneof![
+        (
+            pid_strategy(),
+            prop::bool::ANY,
+            path_strategy(),
+            0u64..10_000
+        )
+            .prop_map(|(pid, write, path, size)| TraceOp::Complete {
+                pid,
+                write,
+                path,
+                size
+            }),
+        (pid_strategy(), path_strategy()).prop_map(|(pid, path)| TraceOp::Unknown { pid, path }),
+        (pid_strategy(), path_strategy())
+            .prop_map(|(pid, path)| TraceOp::NeverResumed { pid, path }),
+        (pid_strategy(), prop::bool::ANY)
+            .prop_map(|(pid, write)| TraceOp::OrphanResumed { pid, write }),
+        pid_strategy().prop_map(|pid| TraceOp::Restarted { pid }),
+    ]
+}
+
+/// Any byte, or one of the bytes strace records are built from (so
+/// random runs regularly look almost like records). `\r` is weighted
+/// up so `\r\r\n`-style line ends, where terminator handling can
+/// differ between parsers, come up in most runs.
+fn byte_strategy() -> impl Strategy<Value = u8> {
+    prop_oneof![
+        0u8..=255,
+        prop::sample::select(b"\n\r\r\r\r\t (),<>\"=.:?+-_/09 AZaz\x7f\xc3\xff".to_vec()),
+    ]
 }
 
 fn op_strategy() -> impl Strategy<Value = TraceOp> {
@@ -95,6 +148,18 @@ fn op_strategy() -> impl Strategy<Value = TraceOp> {
         Just(TraceOp::Garbage),
         (pid_strategy(), prop::bool::ANY).prop_map(|(pid, exit)| TraceOp::Noise { pid, exit }),
         pid_strategy().prop_map(|pid| TraceOp::Restarted { pid }),
+        (
+            record_strategy(),
+            prop::collection::vec((0usize..512, 1u8..0x80), 0..3),
+            prop::option::of(0usize..512)
+        )
+            .prop_map(|(base, flips, cut)| TraceOp::Mangled {
+                base: Box::new(base),
+                flips,
+                cut
+            }),
+        prop::collection::vec(byte_strategy(), 0..48).prop_map(TraceOp::Bytes),
+        (0usize..24).prop_map(TraceOp::Flood),
     ]
 }
 
@@ -103,6 +168,35 @@ fn call_name(write: bool) -> &'static str {
         "write"
     } else {
         "read"
+    }
+}
+
+/// Renders a single-line op at time of day `t`.
+fn record_line(op: &TraceOp, t: &str) -> String {
+    match op {
+        TraceOp::Complete {
+            pid,
+            write,
+            path,
+            size,
+        } => format!(
+            "{pid}  {t} {}(3<{path}>, \"...\", 8192) = {size} <0.000203>",
+            call_name(*write)
+        ),
+        TraceOp::Unknown { pid, path } => {
+            format!("{pid}  {t} statx(AT_FDCWD, \"{path}\", 0, 4095) = 0 <0.000004>")
+        }
+        TraceOp::NeverResumed { pid, path } => {
+            format!("{pid}  {t} read(3<{path}>, <unfinished ...>")
+        }
+        TraceOp::OrphanResumed { pid, write } => format!(
+            "{pid}  {t} <... {} resumed> \"...\", 64) = 64 <0.000009>",
+            call_name(*write)
+        ),
+        TraceOp::Restarted { pid } => {
+            format!("{pid}  {t} read(3</x>, \"\", 10) = ? ERESTARTSYS (To be restarted)")
+        }
+        other => unreachable!("not a single-line record: {other:?}"),
     }
 }
 
@@ -124,22 +218,11 @@ fn materialize(ops: &[TraceOp]) -> String {
         clock += (i as u64 * 7) % 3; // 0..=2 µs steps, duplicates included
         let t = st_inspector::model::Micros(clock).format_time_of_day();
         match op {
-            TraceOp::Complete {
-                pid,
-                write,
-                path,
-                size,
-            } => {
-                lines.push(format!(
-                    "{pid}  {t} {}(3<{path}>, \"...\", 8192) = {size} <0.000203>",
-                    call_name(*write)
-                ));
-            }
-            TraceOp::Unknown { pid, path } => {
-                lines.push(format!(
-                    "{pid}  {t} statx(AT_FDCWD, \"{path}\", 0, 4095) = 0 <0.000004>"
-                ));
-            }
+            TraceOp::Complete { .. }
+            | TraceOp::Unknown { .. }
+            | TraceOp::NeverResumed { .. }
+            | TraceOp::OrphanResumed { .. }
+            | TraceOp::Restarted { .. } => lines.push(record_line(op, &t)),
             TraceOp::Split {
                 pid,
                 write,
@@ -157,15 +240,6 @@ fn materialize(ops: &[TraceOp]) -> String {
                 );
                 scheduled.push((lines.len() + delay, resumed));
             }
-            TraceOp::NeverResumed { pid, path } => {
-                lines.push(format!("{pid}  {t} read(3<{path}>, <unfinished ...>"));
-            }
-            TraceOp::OrphanResumed { pid, write } => {
-                lines.push(format!(
-                    "{pid}  {t} <... {} resumed> \"...\", 64) = 64 <0.000009>",
-                    call_name(*write)
-                ));
-            }
             TraceOp::Garbage => lines.push("not a trace record at all".to_string()),
             TraceOp::Noise { pid, exit } => {
                 if *exit {
@@ -174,10 +248,22 @@ fn materialize(ops: &[TraceOp]) -> String {
                     lines.push(format!("{pid}  {t} --- SIGCHLD {{si_signo=SIGCHLD}} ---"));
                 }
             }
-            TraceOp::Restarted { pid } => {
-                lines.push(format!(
-                    "{pid}  {t} read(3</x>, \"\", 10) = ? ERESTARTSYS (To be restarted)"
-                ));
+            TraceOp::Mangled { base, flips, cut } => {
+                // Records are ASCII and masks stay below 0x80, so the
+                // damaged line is still valid UTF-8.
+                let mut bytes = record_line(base, &t).into_bytes();
+                for &(pos, mask) in flips {
+                    let at = pos % bytes.len();
+                    bytes[at] ^= mask;
+                }
+                if let Some(cut) = cut {
+                    bytes.truncate(cut % (bytes.len() + 1));
+                }
+                lines.push(String::from_utf8(bytes).expect("ASCII stays ASCII"));
+            }
+            TraceOp::Bytes(bytes) => lines.push(String::from_utf8_lossy(bytes).into_owned()),
+            TraceOp::Flood(n) => {
+                lines.extend((0..*n).map(|k| format!("flood line {k}")));
             }
         }
         flush(&mut lines, &mut scheduled);
@@ -229,5 +315,29 @@ proptest! {
         let rb = parse_par(&text, &ib, b);
         prop_assert_eq!(&ra.events, &rb.events, "threads {} vs {}", a, b);
         prop_assert_eq!(&ra.warnings, &rb.warnings);
+    }
+
+    /// The line-at-a-time parsers agree with `parse_str` on every
+    /// input, damaged or not: the same events and the same warnings,
+    /// which stay within the exemplar cap plus one `Suppressed` trailer.
+    #[test]
+    fn line_parsers_match_parse_str_on_damaged_input(ops in prop::collection::vec(op_strategy(), 0..120)) {
+        let text = materialize(&ops);
+        // One interner, filled by the batch parse first: equal symbols
+        // then mean equal strings, whatever order each parser interns in.
+        let interner = Interner::new_shared();
+        let batch = parse_str(&text, &interner);
+        let reader = parse_reader(&mut Cursor::new(text.as_bytes()), &interner).unwrap();
+        // The daemon feeds one `\n`-terminated line at a time.
+        let mut stream = StreamParser::new(Arc::clone(&interner));
+        for line in text.split_inclusive('\n') {
+            stream.feed_line(line);
+        }
+        let stream = stream.finish();
+        for (side, parsed) in [("parse_reader", &reader), ("StreamParser", &stream)] {
+            prop_assert_eq!(&batch.events, &parsed.events, "{} text:\n{}", side, text);
+            prop_assert_eq!(&batch.warnings, &parsed.warnings, "{} text:\n{}", side, text);
+        }
+        prop_assert!(batch.warnings.len() <= WARNING_CAP + 1, "{} warnings", batch.warnings.len());
     }
 }
