@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! stinspect parse <input> -o <log.stlog> [--strict-names] [--threads N]
-//!               [--streaming]
 //! stinspect dfg <input> [--filter EXPR] [--map MAP] [--color MODE]
 //!               [--ranks] [-o out.dot] [--summary]
 //! stinspect stats <input> [--filter EXPR] [--map MAP] [--csv]
@@ -288,7 +287,7 @@ EXPR is the st-query filter syntax, e.g. pid=42 path~\"*.h5\" t=[1.2s,3s) ok=fal
 
 commands:
   parse <input> -o <log.stlog>       ingest any input into a container
-      [--strict-names] [--threads N] [--streaming]
+      [--strict-names] [--threads N]
   dfg <input>                        synthesize and render the DFG
       [--filter EXPR] [--map topdirs[:K]|suffix:PREFIX|site|call]
       [--color load|bytes|partition:CID] [--ranks] [--min-edge N]
@@ -502,16 +501,14 @@ fn cmd_parse(tokens: &[String], policy: Policy) -> Result<(), String> {
     let mut args = Args::new(tokens);
     let mut input: Option<String> = None;
     let mut out: Option<PathBuf> = None;
-    let mut opts = st_strace::LoadOptions::default();
-    let mut explicit_threads = false;
+    let mut strict_names = false;
+    let mut threads = 0usize;
     while let Some(tok) = args.next() {
         match tok {
             "-o" => out = Some(PathBuf::from(args.value("-o")?)),
-            "--strict-names" => opts.strict_names = true,
-            "--streaming" => opts.streaming = true,
+            "--strict-names" => strict_names = true,
             "--threads" => {
-                explicit_threads = true;
-                opts.threads = args
+                threads = args
                     .value("--threads")?
                     .parse()
                     .map_err(|_| "bad --threads".to_string())?
@@ -520,30 +517,15 @@ fn cmd_parse(tokens: &[String], policy: Policy) -> Result<(), String> {
             spec => input = Some(spec.to_string()),
         }
     }
-    // Contradictory worker budgets are rejected up front instead of
-    // silently ignored: the streaming path reads each file
-    // line-at-a-time, so it can never spend a `--threads` surplus
-    // *inside* a file the way the default in-memory path does (for a
-    // single huge trace — streaming's main use case — an explicit
-    // budget would be silently reduced to 1).
-    if explicit_threads && opts.streaming {
-        return Err(
-            "parse: --streaming and --threads conflict: streaming parses each file \
-             line-at-a-time, so a worker budget beyond the file count cannot be honored \
-             (no within-file chunking); drop --threads (workers default to \
-             min(files, cores)) or drop --streaming"
-                .to_string(),
-        );
-    }
     let input = input.ok_or("parse: missing <input>")?;
     let out = out.ok_or("parse: missing -o <log.stlog>")?;
-    // Loader flags (--streaming/--strict-names/--threads)
-    // on a store or sim: input are rejected by the session layer —
-    // they shape strace text loading and would be silently inert
+    // --strict-names on a store or sim: input is rejected by the session
+    // layer — it shapes strace text loading and would be silently inert
     // anywhere else.
     let session = Inspector::open(&input)
         .map_err(|e| e.to_string())?
-        .load_options(opts)
+        .strict_names(strict_names)
+        .threads(threads)
         .recovery(policy.recovery())
         .deny_warnings(policy.deny_warnings)
         .session()

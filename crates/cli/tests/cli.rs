@@ -1,6 +1,6 @@
 //! End-to-end tests of the `stinspect` binary.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn stinspect() -> Command {
@@ -33,6 +33,38 @@ fn help_succeeds() {
     let out = stinspect().arg("--help").output().unwrap();
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("commands:"));
+}
+
+/// Parses `traces` once per `(threads, runs)` entry, `runs` times each,
+/// and asserts every run writes the bytes of the first.
+fn assert_same_store_at_every_budget(traces: &Path, budgets: &[(&str, usize)]) {
+    let mut reference: Option<Vec<u8>> = None;
+    for &(threads, runs) in budgets {
+        for run in 0..runs {
+            let store = traces.with_extension(format!("t{threads}-{run}.stlog"));
+            let out = stinspect()
+                .arg("parse")
+                .arg(traces)
+                .args(["--threads", threads, "-o"])
+                .arg(&store)
+                .output()
+                .unwrap();
+            assert!(
+                out.status.success(),
+                "--threads {threads}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let bytes = std::fs::read(&store).unwrap();
+            match &reference {
+                None => reference = Some(bytes),
+                Some(first) => assert!(
+                    *first == bytes,
+                    "{}: --threads {threads} run {run} wrote different bytes",
+                    traces.display()
+                ),
+            }
+        }
+    }
 }
 
 #[test]
@@ -87,6 +119,45 @@ fn simulate_parse_dfg_pipeline() {
             "--threads {threads}"
         );
     }
+    // The same holds where the order of first use differs between
+    // files and workers race: the paper's 192-file IOR set, with the
+    // files spread over 2 and 8 workers, in repeated runs.
+    let ior = dir.join("ior");
+    let out = stinspect()
+        .args([
+            "simulate",
+            "ior-ssf-fpp",
+            "--paper",
+            "--emit-strace",
+            "--out",
+        ])
+        .arg(&ior)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let ior_traces = ior.join("ior-ssf-fpp-traces");
+    assert_same_store_at_every_budget(&ior_traces, &[("1", 1), ("2", 3), ("8", 3)]);
+    // And on one file with unfinished/resumed pairs, where 8 workers
+    // chunk the file (parse_par) and 1 reads it line by line.
+    let single = dir.join("single");
+    std::fs::create_dir_all(&single).unwrap();
+    let mut body = String::new();
+    for k in 0..400u32 {
+        let pid = 100 + k % 3;
+        let t = 1_000 + 10 * k;
+        body.push_str(&format!(
+            "{pid} 08:00:00.{t:06} read(3</data/r{}>, <unfinished ...>\n\
+             {} 08:00:00.{:06} write(4</out/w{}>, \"..\", 8) = 8 <0.000001>\n\
+             {pid} 08:00:00.{:06} <... read resumed> \"..\", 64) = 64 <0.000005>\n",
+            k % 11,
+            pid + 10,
+            t + 1,
+            k % 13,
+            t + 5
+        ));
+    }
+    std::fs::write(single.join("u_h_1.st"), body).unwrap();
+    assert_same_store_at_every_budget(&single, &[("1", 1), ("8", 2)]);
 
     // dfg with partition coloring, written to a file
     let dot_path = dir.join("g.dot");
@@ -363,47 +434,9 @@ fn parse_missing_directory_fails() {
 }
 
 #[test]
-fn parse_rejects_flag_combinations_streaming_cannot_honor() {
-    let dir = tmpdir("flagconflict");
-    // --streaming reads line-at-a-time and cannot chunk within a file,
-    // so an explicit --threads budget is rejected, not silently capped.
-    let out = stinspect()
-        .arg("parse")
-        .arg(&dir)
-        .args(["--streaming", "--threads", "8", "-o"])
-        .arg(dir.join("x.stlog"))
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--streaming and --threads conflict"), "{err}");
-    // Each flag alone stays valid (empty dir parses to an empty store).
-    for flags in [
-        vec!["--streaming"],
-        vec!["--threads", "1"],
-        vec!["--threads", "2"],
-    ] {
-        let out = stinspect()
-            .arg("parse")
-            .arg(&dir)
-            .args(&flags)
-            .arg("-o")
-            .arg(dir.join("ok.stlog"))
-            .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{flags:?}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn parse_rejects_loader_flags_on_non_text_inputs() {
-    // Loader flags shape strace text loading; on a store or sim: input
-    // they would be silently inert, so the session layer rejects them.
+    // --strict-names shapes strace text loading; on a store or sim:
+    // input it would be silently inert, so the session layer rejects it.
     let dir = tmpdir("inertflags");
     stinspect()
         .args(["simulate", "ls", "--out"])
@@ -411,28 +444,35 @@ fn parse_rejects_loader_flags_on_non_text_inputs() {
         .output()
         .unwrap();
     let store = dir.join("ls.stlog");
-    for flags in [
-        vec!["--streaming"],
-        vec!["--strict-names"],
-        vec!["--threads", "4"],
-    ] {
-        let out = stinspect()
-            .arg("parse")
-            .arg(&store)
-            .args(&flags)
-            .arg("-o")
-            .arg(dir.join("out.stlog"))
-            .output()
-            .unwrap();
-        assert!(!out.status.success(), "{flags:?} accepted on a store input");
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("strace text"), "{flags:?}: {err}");
-    }
-    // Without the flags, re-ingesting a store is fine.
     let out = stinspect()
         .arg("parse")
         .arg(&store)
+        .arg("--strict-names")
         .arg("-o")
+        .arg(dir.join("out.stlog"))
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "--strict-names accepted on a store");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("strace text"), "{err}");
+    // There is no --streaming: the loader always reads line by line.
+    let out = stinspect()
+        .arg("parse")
+        .arg(&store)
+        .arg("--streaming")
+        .arg("-o")
+        .arg(dir.join("out.stlog"))
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "--streaming accepted");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --streaming"), "{err}");
+    // Without --strict-names, re-ingesting a store is fine; --threads
+    // drives the block decode there.
+    let out = stinspect()
+        .arg("parse")
+        .arg(&store)
+        .args(["--threads", "4", "-o"])
         .arg(dir.join("out.stlog"))
         .output()
         .unwrap();

@@ -19,10 +19,11 @@
 //!   than RAM stay queryable on every route.
 //! * **STLOG v1 store** — full decode ([`st_store::legacy::read_v1`]),
 //!   then a (parallel) scan, like any materialized log.
-//! * **strace directory / file** — the parallel zero-copy loader
-//!   ([`st_strace::load_dir`] / [`st_strace::load_files`]), then a
-//!   scan; per-file parse warnings land in the session's warning
-//!   channel instead of on stderr.
+//! * **strace directory / file** — the parallel line-at-a-time loader
+//!   ([`st_strace::load_dir`] / [`st_strace::load_files`]) under the
+//!   [`threads`](Inspector::threads) budget, then a scan; per-file
+//!   parse warnings land in the session's warning channel instead of
+//!   on stderr.
 //! * **`sim:` spec** — the table-driven workload backend
 //!   ([`crate::sim::workload_log`]), then a scan.
 //! * **`live:` spec** — the sealed container of a running ingest
@@ -241,7 +242,7 @@ pub struct Inspector {
     mapping: Option<Box<dyn Mapping + Send + Sync>>,
     threads: usize,
     columns: ColumnSet,
-    load: LoadOptions,
+    strict_names: bool,
     recovery: RecoveryPolicy,
     deny_warnings: bool,
     requery: bool,
@@ -262,7 +263,7 @@ impl Inspector {
             mapping: None,
             threads: 0,
             columns: ColumnSet::ALL,
-            load: LoadOptions::default(),
+            strict_names: false,
             recovery: RecoveryPolicy::default(),
             deny_warnings: false,
             requery: false,
@@ -320,12 +321,14 @@ impl Inspector {
         self
     }
 
-    /// Loader options for strace-text sources (worker budget,
-    /// streaming, strict file naming). [`session`](Inspector::session) rejects
-    /// non-default settings with a spec error when the source is not
-    /// strace text — they would otherwise be silently inert.
-    pub fn load_options(mut self, opts: LoadOptions) -> Inspector {
-        self.load = opts;
+    /// Fails strace-text loads on file names that do not follow the
+    /// `<cid>_<host>_<rid>.st` convention (default: off, a fallback
+    /// identity is synthesized; see [`LoadOptions::strict_names`]).
+    /// [`session`](Inspector::session) rejects it with a spec error when
+    /// the source is not strace text — it would otherwise be silently
+    /// inert.
+    pub fn strict_names(mut self, strict: bool) -> Inspector {
+        self.strict_names = strict;
         self
     }
 
@@ -374,43 +377,33 @@ impl Inspector {
             mapping,
             threads,
             columns,
-            mut load,
+            strict_names,
             recovery,
             deny_warnings,
             requery,
         } = self;
         let spec = source.to_string();
         let mapping = mapping.unwrap_or_else(|| Box::new(CallTopDirs::new(2)));
-        // Loader options shape how strace text is read; on any other
-        // source they would be silently inert, so non-default settings
-        // are rejected rather than ignored. (`threads` via
-        // [`Inspector::threads`] stays valid everywhere — it also
-        // drives the parallel block decode and the parallel scan.)
-        if !source.is_trace_text() {
-            let inert = [
-                (load.streaming, "streaming"),
-                (load.strict_names, "strict file naming"),
-                (load.threads != 0, "a loader worker budget"),
-            ];
-            if let Some((_, what)) = inert.iter().find(|(set, _)| *set) {
-                return Err(Error::Spec {
-                    spec,
-                    reason: format!(
-                        "load options request {what}, which only strace text inputs \
-                         (a directory or file) can honor; this input is not strace text"
-                    ),
-                });
-            }
+        // Strict file naming shapes how strace text is read; on any
+        // other source it would be silently inert, so it is rejected
+        // rather than ignored.
+        if strict_names && !source.is_trace_text() {
+            return Err(Error::Spec {
+                spec,
+                reason: "strict file naming applies only to strace text inputs \
+                         (a directory or file); this input is not strace text"
+                    .to_string(),
+            });
         }
         // The worker plan: on a single-core host every parallel stage
         // degrades to the sequential route (recorded in the report),
         // so the scoped-worker fan-out never pays for workers that
-        // cannot run concurrently. The loader keeps a caller-set
-        // budget unless the planner forces sequential.
+        // cannot run concurrently.
         let (eff_threads, plan_reason) = plan_workers(threads);
-        if threads != 0 || eff_threads == 1 {
-            load.threads = eff_threads;
-        }
+        let load = LoadOptions {
+            threads: eff_threads,
+            strict_names,
+        };
         let obs_mark = st_obs::mark();
         let session_span = st_obs::span!("session");
         let mut warnings: Vec<SourceWarning> = Vec::new();

@@ -12,7 +12,7 @@
 //!   [`is_trace_text`](TraceSource::is_trace_text));
 //! * [`Inspector`] — a builder-style session that plans the cheapest
 //!   evaluation route per source (predicate pushdown on v2 stores,
-//!   parallel zero-copy loading for strace text, the table-driven
+//!   parallel line-at-a-time loading for strace text, the table-driven
 //!   simulation backend for `sim:` specs) and materializes a
 //!   [`Session`] for any number of projections;
 //! * [`Error`] — the workspace-wide input-resolution error, wrapping

@@ -7,7 +7,7 @@
 //! the input (directories by the filesystem, files by sniffing the
 //! `STLOG` magic) and exposes *capability flags* so the session planner
 //! can pick the cheapest evaluation route per source — predicate
-//! pushdown on v2 stores, streaming line-at-a-time parsing on trace
+//! pushdown on v2 stores, parallel line-at-a-time parsing on trace
 //! text.
 
 use std::fmt;

@@ -48,6 +48,6 @@ pub mod writer;
 pub use error::{StraceError, Warning, WARNING_CAP};
 pub use generic::{from_csv, to_csv, CsvError};
 pub use loader::{load_dir, load_files, LoadOptions};
-pub use parser::{parse_par, parse_reader, parse_str, ParsedTrace, StreamParser};
+pub use parser::{parse_par, parse_str, ParsedTrace, StreamParser};
 pub use record::{Line, ParsedCall, ReturnValue};
 pub use writer::{write_case, write_log_to_dir, WriteOptions};

@@ -3,53 +3,40 @@
 //! The paper's setup produces one trace file per MPI process (Fig. 1);
 //! production runs produce hundreds of files (96 ranks per IOR mode in
 //! Sec. V). Parsing is embarrassingly parallel across files, so the
-//! loader fans the file list out to a pool of worker threads (results
-//! re-ordered for determinism). Each file is read into memory once and
-//! parsed zero-copy with [`crate::parse_str`]; when there are fewer
-//! files than workers (e.g. one huge trace), the spare parallelism is
-//! spent *inside* the file via [`crate::parse_par`] instead. All
-//! workers intern into the same shared [`Interner`].
+//! loader fans the file list out to a pool of worker threads. Each
+//! worker reads its file one line at a time into a worker-local string
+//! table, so no file's text is ever held whole; the calling thread then
+//! publishes each file's table into the shared [`Interner`] in file
+//! order, one batch per file, which makes the result independent of the
+//! worker count down to the symbol ids. When the files are too few to
+//! use the worker budget (e.g. one huge trace), the spare parallelism is
+//! spent *inside* each file via [`crate::parse_par`] instead, which
+//! reads the file whole.
 
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
-use st_model::{Case, CaseMeta, EventLog, Interner};
+use st_model::{Case, CaseMeta, EventLog, Interner, LocalInterner};
 
 use crate::error::{StraceError, Warning};
-use crate::parser::{parse_par, parse_reader, parse_str};
+use crate::parser::{parse_lines_local, parse_par, publish_local, ParsedTrace};
+
+/// The extension [`load_dir`] picks trace files by
+/// (`<cid>_<host>_<rid>.st`).
+const TRACE_EXTENSION: &str = "st";
 
 /// Options for [`load_dir`] / [`load_files`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LoadOptions {
     /// Worker count; `0` uses the machine's available parallelism and
-    /// `1` parses sequentially on the calling thread.
+    /// `1` parses one file at a time.
     pub threads: usize,
     /// Fail on file names that do not follow the `<cid>_<host>_<rid>.st`
     /// convention. When `false`, a fallback identity (cid = file stem,
     /// host = `local`, rid = position) is synthesized.
     pub strict_names: bool,
-    /// Only consider files with this extension in [`load_dir`].
-    pub extension: String,
-    /// Stream each file line-at-a-time instead of reading it into
-    /// memory for the zero-copy parse. Slower, but the trace *text*
-    /// held per worker shrinks to one line, so peak memory no longer
-    /// grows with `workers × file size`. The parsed events still stay
-    /// resident (about 88 bytes per event), so memory is bounded by
-    /// the log, not by a line — use it when the text would not fit in
-    /// RAM beside the parsed log.
-    pub streaming: bool,
-}
-
-impl Default for LoadOptions {
-    fn default() -> Self {
-        LoadOptions {
-            threads: 0,
-            strict_names: false,
-            extension: "st".to_string(),
-            streaming: false,
-        }
-    }
 }
 
 /// A loaded event log plus per-file warnings.
@@ -74,12 +61,7 @@ pub fn load_dir(
             source,
         })?
         .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|p| {
-            p.is_file()
-                && p.extension()
-                    .and_then(|e| e.to_str())
-                    .is_some_and(|e| e == opts.extension)
-        })
+        .filter(|p| p.is_file() && p.extension().is_some_and(|e| e == TRACE_EXTENSION))
         .collect();
     files.sort();
     load_files(&files, interner, opts)
@@ -118,9 +100,6 @@ pub fn load_files(
         }
     }
 
-    // `requested` is the total worker budget; `n_workers` caps the
-    // across-files fan-out at the file count. When the budget exceeds
-    // what files alone can use, the surplus moves *inside* each file.
     let requested = if opts.threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -128,107 +107,100 @@ pub fn load_files(
     } else {
         opts.threads
     };
-    let n_workers = requested.min(files.len().max(1));
-
-    let mut slots: Vec<Option<(Case, Vec<Warning>)>> = (0..files.len()).map(|_| None).collect();
-
-    if requested <= 1 {
-        for (idx, path) in files.iter().enumerate() {
-            slots[idx] = Some(parse_one(path, metas[idx], &interner, 1, opts.streaming)?);
-        }
-    } else if files.len() * 2 <= requested && !opts.streaming {
+    let parsed: Vec<ParsedTrace> = if files.len() * 2 <= requested {
         // Fewer files than workers can fill: spend the parallelism
         // *inside* each file (chunked parse) instead of across files.
-        for (idx, path) in files.iter().enumerate() {
-            slots[idx] = Some(parse_one(path, metas[idx], &interner, requested, false)?);
-        }
+        files
+            .iter()
+            .map(|path| {
+                let _span = file_span(path);
+                let text = std::fs::read_to_string(path).map_err(io_error(path))?;
+                Ok(parse_par(&text, &interner, requested))
+            })
+            .collect::<Result<_, StraceError>>()?
     } else {
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Result<(Case, Vec<Warning>), StraceError>)>();
-        let obs_cx = st_obs::context();
-        std::thread::scope(|scope| {
-            for _ in 0..n_workers {
-                let tx = tx.clone();
-                let next = &next;
-                let interner = &interner;
-                let files = &files;
-                let metas = &metas;
-                let obs_cx = obs_cx.clone();
-                scope.spawn(move || {
-                    let _obs = obs_cx.attach();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= files.len() {
-                            break;
-                        }
-                        let result =
-                            parse_one(&files[idx], metas[idx], interner, 1, opts.streaming);
-                        if tx.send((idx, result)).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            for (idx, result) in rx {
-                slots[idx] = Some(result?);
-            }
-            Ok::<(), StraceError>(())
-        })?;
-    }
+        let workers = requested.min(files.len()).max(1);
+        parse_files_local(files, workers)?
+            .into_iter()
+            .map(|(mut parsed, local)| {
+                publish_local(&mut parsed, &local, &interner);
+                parsed
+            })
+            .collect()
+    };
 
     let mut log = EventLog::new(interner);
     let mut warnings = Vec::new();
-    for (idx, slot) in slots.into_iter().enumerate() {
-        let (case, ws) = slot.expect("every file parsed");
-        warnings.extend(ws.into_iter().map(|w| (files[idx].clone(), w)));
-        log.push_case(case);
+    for ((path, meta), parsed) in files.iter().zip(metas).zip(parsed) {
+        warnings.extend(parsed.warnings.into_iter().map(|w| (path.clone(), w)));
+        log.push_case(Case {
+            meta,
+            events: parsed.events,
+        });
     }
     Ok(LoadResult { log, warnings })
 }
 
-fn parse_one(
-    path: &Path,
-    meta: CaseMeta,
-    interner: &Interner,
-    chunk_threads: usize,
-    streaming: bool,
-) -> Result<(Case, Vec<Warning>), StraceError> {
-    let _span = st_obs::span_with("strace.file", || path.display().to_string());
-    let io_err = |source| StraceError::Io {
+/// Parses every file into its own [`LocalInterner`] on `workers`
+/// threads, returning the results in file order.
+fn parse_files_local(
+    files: &[PathBuf],
+    workers: usize,
+) -> Result<Vec<(ParsedTrace, LocalInterner)>, StraceError> {
+    let mut slots: Vec<Option<(ParsedTrace, LocalInterner)>> =
+        (0..files.len()).map(|_| None).collect();
+    let next = AtomicUsize::new(0);
+    let (tx, rx) = mpsc::channel();
+    let obs_cx = st_obs::context();
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            let tx = tx.clone();
+            let next = &next;
+            let obs_cx = obs_cx.clone();
+            scope.spawn(move || {
+                let _obs = obs_cx.attach();
+                loop {
+                    let idx = next.fetch_add(1, Ordering::Relaxed);
+                    if idx >= files.len() {
+                        break;
+                    }
+                    if tx.send((idx, parse_file_local(&files[idx]))).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(tx);
+        for (idx, result) in rx {
+            slots[idx] = Some(result?);
+        }
+        Ok::<(), StraceError>(())
+    })?;
+    Ok(slots
+        .into_iter()
+        .map(|slot| slot.expect("every file parsed"))
+        .collect())
+}
+
+/// Reads `path` one line at a time into a fresh [`LocalInterner`].
+fn parse_file_local(path: &Path) -> Result<(ParsedTrace, LocalInterner), StraceError> {
+    let _span = file_span(path);
+    let file = std::fs::File::open(path).map_err(io_error(path))?;
+    let mut local = LocalInterner::new();
+    let parsed = parse_lines_local(BufReader::with_capacity(1 << 16, file), &mut local)
+        .map_err(io_error(path))?;
+    Ok((parsed, local))
+}
+
+fn file_span(path: &Path) -> st_obs::Span {
+    st_obs::span_with("strace.file", || path.display().to_string())
+}
+
+fn io_error(path: &Path) -> impl Fn(std::io::Error) -> StraceError + '_ {
+    move |source| StraceError::Io {
         path: path.to_path_buf(),
         source,
-    };
-    if streaming {
-        // Constant memory: one buffered line at a time.
-        let file = std::fs::File::open(path).map_err(io_err)?;
-        let mut reader = std::io::BufReader::new(file);
-        let parsed = parse_reader(&mut reader, interner).map_err(io_err)?;
-        return Ok((
-            Case {
-                meta,
-                events: parsed.events,
-            },
-            parsed.warnings,
-        ));
     }
-    // One read into memory, then a zero-copy parse over the buffer —
-    // cheaper than the line-at-a-time loop, which copies every line,
-    // at the cost of holding the file text (peak memory is
-    // `workers x file size`; `streaming` bounds it instead).
-    let text = std::fs::read_to_string(path).map_err(io_err)?;
-    let parsed = if chunk_threads > 1 {
-        parse_par(&text, interner, chunk_threads)
-    } else {
-        parse_str(&text, interner)
-    };
-    Ok((
-        Case {
-            meta,
-            events: parsed.events,
-        },
-        parsed.warnings,
-    ))
 }
 
 #[cfg(test)]
@@ -285,36 +257,82 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Twelve files with per-file path sets, unknown syscalls and
+    /// unfinished/resumed pairs, so each file's strings and the order
+    /// they are first used in differ.
+    fn write_mixed_traces(dir: &Path) {
+        std::fs::create_dir_all(dir).unwrap();
+        for f in 0..12u32 {
+            let pid = 9000 + f;
+            let mut body = String::new();
+            body.push_str(&format!(
+                "{pid}  08:00:00.000001 read(3</data/f{f}/held>, <unfinished ...>\n"
+            ));
+            for k in 0..30u32 {
+                let path = match k % 3 {
+                    0 => "/usr/lib/libc.so.6".to_string(),
+                    1 => format!("/data/f{f}/p{}", k % 5),
+                    _ => format!("/scratch/r{}", (k + f) % 7),
+                };
+                body.push_str(&format!(
+                    "{pid}  08:00:00.{:06} write(4<{path}>, \"...\", 64) = 64 <0.000002>\n",
+                    10 + k
+                ));
+                if k == 12 {
+                    body.push_str(&format!(
+                        "{pid}  08:00:00.000050 <... read resumed> \"...\", 405) = 404 <0.000223>\n"
+                    ));
+                    body.push_str(&format!(
+                        "{pid}  08:00:00.000051 statx(AT_FDCWD, \"/etc/f{f}\", <unfinished ...>\n"
+                    ));
+                }
+            }
+            body.push_str(&format!(
+                "{pid}  08:00:00.000090 <... statx resumed> 0, STATX_ALL, {{stx_mask=4095}}) = 0 <0.000002>\n"
+            ));
+            let name = format!("{}_host1_{}.st", ["a", "b", "c"][f as usize % 3], 100 + f);
+            std::fs::write(dir.join(name), body).unwrap();
+        }
+    }
+
     #[test]
     fn sequential_and_parallel_agree() {
+        // Every worker budget and every run must build the same log and
+        // the same interner string table, in the same order.
         let dir = tmpdir("par");
-        write_tmp_traces(&dir);
-        let seq = load_dir(
-            &dir,
-            Interner::new_shared(),
-            &LoadOptions {
-                threads: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let par = load_dir(
-            &dir,
-            Interner::new_shared(),
-            &LoadOptions {
-                threads: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(seq.log.case_count(), par.log.case_count());
-        assert_eq!(seq.log.total_events(), par.log.total_events());
-        for (a, b) in seq.log.cases().iter().zip(par.log.cases()) {
-            assert_eq!(a.meta.rid, b.meta.rid);
-            assert_eq!(a.events.len(), b.events.len());
-            for (x, y) in a.events.iter().zip(&b.events) {
-                assert_eq!(x.start, y.start);
-                assert_eq!(x.size, y.size);
+        write_mixed_traces(&dir);
+        let load = |threads: usize| {
+            let interner = Interner::new_shared();
+            let result = load_dir(
+                &dir,
+                Arc::clone(&interner),
+                &LoadOptions {
+                    threads,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+            let snap = interner.snapshot();
+            let table: Vec<String> = (0..snap.len() as u32)
+                .map(|id| snap.resolve(st_model::Symbol(id)).to_string())
+                .collect();
+            (result, table)
+        };
+        let (seq, seq_table) = load(1);
+        assert_eq!(seq.log.case_count(), 12);
+        assert!(seq.warnings.is_empty(), "{:?}", seq.warnings);
+        assert!(seq.log.cases().iter().all(|c| c.events.len() == 32));
+        // 8 workers over 12 files fan out across files; 32 spend the
+        // budget inside each file.
+        for threads in [1, 2, 8, 32] {
+            for run in 0..3 {
+                let (par, par_table) = load(threads);
+                assert_eq!(par_table, seq_table, "threads={threads} run={run}");
+                assert_eq!(par.log.case_count(), seq.log.case_count());
+                for (a, b) in seq.log.cases().iter().zip(par.log.cases()) {
+                    assert_eq!(a.meta, b.meta, "threads={threads} run={run}");
+                    assert_eq!(a.events, b.events, "threads={threads} run={run}");
+                }
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -357,32 +375,6 @@ mod tests {
         assert_eq!(par.log.total_events(), 200);
         for (a, b) in seq.log.cases().iter().zip(par.log.cases()) {
             assert_eq!(a.events, b.events);
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn streaming_load_matches_in_memory_load() {
-        let dir = tmpdir("streaming");
-        write_tmp_traces(&dir);
-        let fast = load_dir(&dir, Interner::new_shared(), &LoadOptions::default()).unwrap();
-        let slow = load_dir(
-            &dir,
-            Interner::new_shared(),
-            &LoadOptions {
-                streaming: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(fast.log.case_count(), slow.log.case_count());
-        assert_eq!(fast.log.total_events(), slow.log.total_events());
-        for (a, b) in fast.log.cases().iter().zip(slow.log.cases()) {
-            for (x, y) in a.events.iter().zip(&b.events) {
-                assert_eq!(x.start, y.start);
-                assert_eq!(x.size, y.size);
-                assert_eq!(x.call, y.call);
-            }
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

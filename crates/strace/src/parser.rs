@@ -3,9 +3,15 @@
 //!
 //! # Architecture
 //!
-//! Three entry points share one borrowed, zero-copy assembly core:
+//! One sequential assembler and one parallel pipeline:
 //!
-//! * [`parse_str`] — sequential single pass over an in-memory trace.
+//! * [`parse_str`] — the sequential assembler, fed the lines of an
+//!   in-memory trace. The same owned, line-at-a-time state machine runs
+//!   behind [`StreamParser`] (lines pushed by a live service) and behind
+//!   the directory loader (lines read from a file one at a time, so a
+//!   file's text is never held whole). It interns each string at the
+//!   line that completes its call: a complete call at its own line, a
+//!   merged `<unfinished ...>`/`resumed` pair at the resumed line.
 //! * [`parse_par`] — the chunked parallel pipeline: the input is split
 //!   at line boundaries into one byte-range chunk per worker; each
 //!   worker parses its chunk into a local event vector (complete calls
@@ -13,11 +19,10 @@
 //!   into a thread-local [`LocalInterner`] so the shared interner's lock
 //!   is never touched from a worker. A sequential merge then replays the
 //!   deferred records across chunk boundaries (FIFO per `(pid, name)`,
-//!   exactly like the sequential path), publishes every thread-local
-//!   string table through a single [`Interner::intern_many`] batch, and
-//!   k-way merges the per-chunk event runs by `(start, line)`.
-//! * [`parse_reader`] — line-at-a-time constant-memory fallback for
-//!   streaming sources.
+//!   exactly like the sequential assembler), publishes every
+//!   thread-local string table through a single
+//!   [`Interner::intern_many`] batch, and k-way merges the per-chunk
+//!   event runs by `(start, line)`.
 //!
 //! # Determinism
 //!
@@ -27,20 +32,20 @@
 //! order. Two properties make this work:
 //!
 //! 1. events are ordered by `(start, completing line)`, which equals the
-//!    sequential path's stable sort by start over completion-ordered
-//!    events, regardless of how the input was chunked;
+//!    sequential assembler's sort over completion-ordered events,
+//!    regardless of how the input was chunked;
 //! 2. strings are published to the shared interner in first-use order of
-//!    the canonical walk (complete calls in line order, then merged
-//!    unfinished/resumed calls in resumption order) — the same order in
-//!    which the sequential pass interns them.
+//!    a walk over complete and merged events in global completing-line
+//!    order (syscall name before path) — the order in which the
+//!    sequential assembler interns them.
 //!
-//! Unfinished-call state is zero-copy: pending records borrow argument
-//! slices from the input text instead of allocating `String`s, and
-//! matching is keyed by `(pid, name)` with FIFO queues (O(1) per record
-//! instead of the former O(outstanding) scan).
+//! Unfinished calls are matched by `(pid, name)` with FIFO queues (O(1)
+//! per record). In `parse_par` the pending records borrow argument
+//! slices from the input text; the sequential assembler copies them,
+//! since its lines need not outlive a read buffer.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::BufRead;
+use std::io::{self, BufRead};
 use std::sync::Arc;
 
 use st_model::{Event, Interner, LocalInterner, Micros, Pid, Symbol, Syscall};
@@ -58,8 +63,9 @@ pub struct ParsedTrace {
     pub warnings: Vec<Warning>,
 }
 
-/// Where newly seen strings go during parsing. Workers intern locally;
-/// the sequential paths intern straight into the shared table.
+/// Where newly seen strings go during parsing. Parser and loader workers
+/// intern locally; [`parse_str`] and [`StreamParser`] intern straight
+/// into the shared table.
 trait Intern {
     fn intern_str(&mut self, s: &str) -> Symbol;
 }
@@ -140,7 +146,7 @@ fn push_capped(warnings: &mut Vec<Warning>, suppressed: &mut usize, w: Warning) 
     }
 }
 
-/// Final warning assembly shared by every parse path: order by line,
+/// `parse_par`'s final warning assembly: order by line,
 /// truncate to the exemplar cap, and surface the total overflow as one
 /// [`Warning::Suppressed`] entry (sorting last by construction).
 fn finalize_warnings(mut warnings: Vec<Warning>, mut suppressed: usize) -> Vec<Warning> {
@@ -155,8 +161,9 @@ fn finalize_warnings(mut warnings: Vec<Warning>, mut suppressed: usize) -> Vec<W
     warnings
 }
 
-/// Parses every line of `chunk`, deferring unfinished/resumed records.
-fn parse_chunk<'a, I: Intern>(chunk: &'a str, sink: &mut I) -> ChunkParse<'a> {
+/// Parses every line of `chunk` into `local`, deferring
+/// unfinished/resumed records (`parse_par`'s map step).
+fn parse_chunk<'a>(chunk: &'a str, local: &mut LocalInterner) -> ChunkParse<'a> {
     let mut out = ChunkParse {
         events: Vec::new(),
         warnings: Vec::new(),
@@ -207,7 +214,7 @@ fn parse_chunk<'a, I: Intern>(chunk: &'a str, sink: &mut I) -> ChunkParse<'a> {
                 });
             }
             Some(Line::Call(call)) => {
-                if let Some(ev) = call_to_event(&call, sink) {
+                if let Some(ev) = call_to_event(&call, local) {
                     out.events.push((lineno, ev));
                 }
             }
@@ -227,10 +234,10 @@ fn parse_chunk<'a, I: Intern>(chunk: &'a str, sink: &mut I) -> ChunkParse<'a> {
 /// Replays deferred records (in global order) against the keyed FIFO
 /// pending table, producing merged events and orphan/never-resumed
 /// warnings. `offsets[i]` is the line offset of chunk `i`.
-fn merge_asyncs<'a, I: Intern>(
+fn merge_asyncs<'a>(
     chunks: &[ChunkParse<'a>],
     offsets: &[usize],
-    sink: &mut I,
+    local: &mut LocalInterner,
 ) -> (Vec<(usize, Event)>, Vec<Warning>) {
     let mut pending: HashMap<(u32, &'a str), VecDeque<Pending<'a>>> = HashMap::new();
     let mut seq = 0usize;
@@ -283,7 +290,7 @@ fn merge_asyncs<'a, I: Intern>(
                                 ret: *ret,
                                 dur: *dur,
                             };
-                            if let Some(ev) = call_to_event(&call, sink) {
+                            if let Some(ev) = call_to_event(&call, local) {
                                 events.push((offset + line, ev));
                             }
                         }
@@ -340,7 +347,8 @@ fn shift_warning(mut w: Warning, offset: usize) -> Warning {
     w
 }
 
-/// Parses a whole trace file held in memory.
+/// Parses a whole trace file held in memory, line by line through the
+/// sequential assembler.
 ///
 /// ```
 /// use st_model::{Interner, Syscall};
@@ -359,26 +367,15 @@ fn shift_warning(mut w: Warning, offset: usize) -> Warning {
 pub fn parse_str(text: &str, interner: &Interner) -> ParsedTrace {
     let _span = st_obs::span!("strace.parse", bytes = text.len());
     let symbols_before = interner.len();
+    let mut state = ReaderState::default();
     let mut sink = SharedIntern(interner);
-    let chunk = parse_chunk(text, &mut sink);
-    let offsets = [0usize];
-    let chunks = [chunk];
-    let (merged, async_warnings) = merge_asyncs(&chunks, &offsets, &mut sink);
-    let [chunk] = chunks;
-
-    let mut events: Vec<(usize, Event)> = chunk.events;
-    events.extend(merged);
-    events.sort_unstable_by_key(event_order);
-
-    let mut warnings = chunk.warnings;
-    warnings.extend(async_warnings);
-
-    st_obs::add("events_parsed", events.len() as u64);
-    st_obs::add("symbols_interned", (interner.len() - symbols_before) as u64);
-    ParsedTrace {
-        events: events.into_iter().map(|(_, e)| e).collect(),
-        warnings: finalize_warnings(warnings, chunk.suppressed),
+    for line in text.lines() {
+        state.feed(line, &mut sink);
     }
+    let parsed = state.finish();
+    st_obs::add("events_parsed", parsed.events.len() as u64);
+    st_obs::add("symbols_interned", (interner.len() - symbols_before) as u64);
+    parsed
 }
 
 /// Splits `text` into `n` byte-range chunks cut at line boundaries.
@@ -407,52 +404,55 @@ fn split_chunks(text: &str, n: usize) -> Vec<&str> {
     chunks
 }
 
-/// Rewrites the symbols of `events` (which reference `local`) into
-/// candidate ids: first-appearance positions in `candidates`. Walks in
-/// storage (line) order so candidate order equals sequential intern
-/// order. `cache` memoizes per local symbol.
-fn collect_candidates<'l>(
-    events: &mut [(usize, Event)],
-    local: &'l LocalInterner,
-    cache: &mut Vec<Option<u32>>,
-    dedup: &mut HashMap<&'l str, u32>,
-    candidates: &mut Vec<&'l str>,
-) {
-    cache.clear();
-    cache.resize(local.len(), None);
-    let to_candidate = |sym: Symbol,
-                        cache: &mut Vec<Option<u32>>,
-                        dedup: &mut HashMap<&'l str, u32>,
-                        candidates: &mut Vec<&'l str>| {
-        if let Some(c) = cache[sym.index()] {
-            return c;
-        }
-        let s = local.resolve(sym);
-        let c = *dedup.entry(s).or_insert_with(|| {
-            candidates.push(s);
-            (candidates.len() - 1) as u32
-        });
-        cache[sym.index()] = Some(c);
-        c
-    };
-    for (_, ev) in events.iter_mut() {
-        // Same per-event order as the sequential pass: the syscall name
-        // resolves (and may intern) before the path does.
+/// Worker-local symbols renumbered into one candidate table in
+/// first-use order, so the whole table publishes in a single
+/// [`Interner::intern_many`] batch.
+#[derive(Default)]
+struct Candidates<'l> {
+    strings: Vec<&'l str>,
+    index: HashMap<&'l str, u32>,
+}
+
+impl<'l> Candidates<'l> {
+    /// Rewrites the symbols of `ev` (which reference `local`) into
+    /// candidate ids, the syscall name before the path — the order in
+    /// which `call_to_event` interns them. `cache` memoizes per local
+    /// symbol.
+    fn rewrite(&mut self, ev: &mut Event, local: &'l LocalInterner, cache: &mut [Option<u32>]) {
         if let Syscall::Other(sym) = ev.call {
-            ev.call = Syscall::Other(Symbol(to_candidate(sym, cache, dedup, candidates)));
+            ev.call = Syscall::Other(self.candidate(sym, local, cache));
         }
-        ev.path = Symbol(to_candidate(ev.path, cache, dedup, candidates));
+        ev.path = self.candidate(ev.path, local, cache);
+    }
+
+    fn candidate(
+        &mut self,
+        sym: Symbol,
+        local: &'l LocalInterner,
+        cache: &mut [Option<u32>],
+    ) -> Symbol {
+        let id = match cache[sym.index()] {
+            Some(id) => id,
+            None => {
+                let s = local.resolve(sym);
+                let id = *self.index.entry(s).or_insert_with(|| {
+                    self.strings.push(s);
+                    (self.strings.len() - 1) as u32
+                });
+                cache[sym.index()] = Some(id);
+                id
+            }
+        };
+        Symbol(id)
     }
 }
 
-/// Rewrites candidate ids into the shared interner's symbols.
-fn apply_symbols(events: &mut [(usize, Event)], shared: &[Symbol]) {
-    for (_, ev) in events.iter_mut() {
-        if let Syscall::Other(sym) = ev.call {
-            ev.call = Syscall::Other(shared[sym.index()]);
-        }
-        ev.path = shared[ev.path.index()];
+/// Rewrites the symbols of `ev` through `shared` (old id → new symbol).
+fn remap(ev: &mut Event, shared: &[Symbol]) {
+    if let Syscall::Other(sym) = ev.call {
+        ev.call = Syscall::Other(shared[sym.index()]);
     }
+    ev.path = shared[ev.path.index()];
 }
 
 /// Parses a whole in-memory trace on `threads` worker threads
@@ -543,35 +543,36 @@ pub fn parse_par(text: &str, interner: &Interner, threads: usize) -> ParsedTrace
     let (mut merged_events, async_warnings) =
         merge_asyncs(&chunk_parses, &offsets, &mut merge_local);
 
-    // Reduce 2: publish thread-local string tables to the shared
-    // interner in canonical first-use order, with one batched
-    // `intern_many` call, then rewrite event symbols.
+    // Reduce 2: publish the thread-local string tables to the shared
+    // interner with one batched `intern_many` call. Candidates are
+    // collected by walking complete and merged events in global line
+    // order — the order in which the sequential assembler interns.
     let intern_span = st_obs::span!("strace.intern.merge");
-    let mut dedup: HashMap<&str, u32> = HashMap::new();
-    let mut candidates: Vec<&str> = Vec::new();
-    let mut cache: Vec<Option<u32>> = Vec::new();
-    for (chunk, local) in chunk_parses.iter_mut().zip(&locals) {
-        collect_candidates(
-            &mut chunk.events,
-            local,
-            &mut cache,
-            &mut dedup,
-            &mut candidates,
-        );
+    let mut candidates = Candidates::default();
+    let mut merged_cache = vec![None; merge_local.len()];
+    let mut next_merged = 0usize;
+    for ((chunk, local), &offset) in chunk_parses.iter_mut().zip(&locals).zip(&offsets) {
+        let mut cache = vec![None; local.len()];
+        for (line, ev) in chunk.events.iter_mut() {
+            while let Some((_, merged)) = merged_events
+                .get_mut(next_merged)
+                .filter(|(merged_line, _)| *merged_line < offset + *line)
+            {
+                candidates.rewrite(merged, &merge_local, &mut merged_cache);
+                next_merged += 1;
+            }
+            candidates.rewrite(ev, local, &mut cache);
+        }
     }
-    collect_candidates(
-        &mut merged_events,
-        &merge_local,
-        &mut cache,
-        &mut dedup,
-        &mut candidates,
-    );
-    let shared = interner.intern_many(&candidates);
+    for (_, merged) in &mut merged_events[next_merged..] {
+        candidates.rewrite(merged, &merge_local, &mut merged_cache);
+    }
+    let shared = interner.intern_many(&candidates.strings);
     st_obs::add("symbols_interned", shared.len() as u64);
-    for chunk in chunk_parses.iter_mut() {
-        apply_symbols(&mut chunk.events, &shared);
+    let all_events = chunk_parses.iter_mut().flat_map(|c| c.events.iter_mut());
+    for (_, ev) in all_events.chain(merged_events.iter_mut()) {
+        remap(ev, &shared);
     }
-    apply_symbols(&mut merged_events, &shared);
     drop(intern_span);
 
     // Reduce 3: k-way merge the pre-sorted per-chunk runs (plus the
@@ -645,44 +646,45 @@ fn kway_merge(
     events
 }
 
-/// Parses a trace file from a buffered reader (line-at-a-time, constant
-/// memory).
-///
-/// Prefer [`parse_str`]/[`parse_par`] when the trace fits in memory —
-/// they borrow from the text instead of copying per line.
-///
-/// Produces the same events and warnings as [`parse_str`] *modulo
-/// symbol numbering*: this streaming path interns merged
-/// unfinished/resumed calls at their resumption line, while
-/// `parse_str`/`parse_par` defer them behind the complete calls, so
-/// two *fresh* interners can assign ids in a different order (resolved
-/// strings are always identical, and sharing one interner across both
-/// paths yields identical events).
-pub fn parse_reader<R: BufRead>(
-    reader: &mut R,
-    interner: &Interner,
-) -> std::io::Result<ParsedTrace> {
-    let _span = st_obs::span!("strace.parse.stream");
-    let symbols_before = interner.len();
+/// Parses a trace from `reader` one line at a time into the worker-local
+/// table `local` — the loader's per-file route, which never holds more
+/// of the file's text than one line. [`publish_local`] then moves the
+/// symbols into the shared interner.
+pub(crate) fn parse_lines_local<R: BufRead>(
+    mut reader: R,
+    local: &mut LocalInterner,
+) -> io::Result<ParsedTrace> {
+    let _span = st_obs::span!("strace.parse");
     let mut state = ReaderState::default();
     let mut buf = String::new();
-    let mut lineno = 0usize;
-    loop {
+    while reader.read_line(&mut buf)? > 0 {
+        state.feed(strip_line_end(&buf), local);
         buf.clear();
-        if reader.read_line(&mut buf)? == 0 {
-            break;
-        }
-        lineno += 1;
-        state.feed(lineno, strip_line_end(&buf), interner);
     }
     let parsed = state.finish();
     st_obs::add("events_parsed", parsed.events.len() as u64);
-    st_obs::add("symbols_interned", (interner.len() - symbols_before) as u64);
     Ok(parsed)
 }
 
+/// Rewrites the symbols of `parsed` (which reference `local`) into
+/// `interner`, publishing the whole local table in one
+/// [`Interner::intern_many`] batch. `local` numbered its strings in
+/// first-use order, the order in which [`parse_str`] interns them, so
+/// the result equals `parse_str` over the same lines from the same
+/// interner state.
+pub(crate) fn publish_local(parsed: &mut ParsedTrace, local: &LocalInterner, interner: &Interner) {
+    let _span = st_obs::span!("strace.intern.publish");
+    let symbols_before = interner.len();
+    let keys: Vec<&str> = (0..local.len() as u32)
+        .map(|id| local.resolve(Symbol(id)))
+        .collect();
+    let shared = interner.intern_many(&keys);
+    st_obs::add("symbols_interned", (interner.len() - symbols_before) as u64);
+    parsed.events.iter_mut().for_each(|ev| remap(ev, &shared));
+}
+
 /// Strips one line terminator exactly as [`str::lines`] does (`\n` or
-/// `\r\n`; a bare trailing `\r` stays), so the line-at-a-time parsers
+/// `\r\n`; a bare trailing `\r` stays), so the line-at-a-time routes
 /// see the same lines as [`parse_str`].
 fn strip_line_end(line: &str) -> &str {
     match line.strip_suffix('\n') {
@@ -693,12 +695,12 @@ fn strip_line_end(line: &str) -> &str {
 
 /// Incremental line-at-a-time parser for live ingest.
 ///
-/// [`parse_reader`] owns its input loop; a long-running service does
-/// not — lines arrive on sockets, interleaved across connections, and
-/// the parser must hand back events *as they complete* so a live DFG
-/// can grow between lines. `StreamParser` exposes the same assembly
-/// state machine as [`parse_reader`] (unfinished/resumed merging,
-/// capped warnings, final start-sort) behind a push API:
+/// A long-running service does not own an input loop — lines arrive on
+/// sockets, interleaved across connections, and the parser must hand
+/// back events *as they complete* so a live DFG can grow between lines.
+/// `StreamParser` exposes the sequential assembler behind [`parse_str`]
+/// (unfinished/resumed merging, capped warnings, final start-sort)
+/// behind a push API:
 ///
 /// ```
 /// # use std::sync::Arc;
@@ -715,11 +717,10 @@ fn strip_line_end(line: &str) -> &str {
 /// Events surfaced by [`StreamParser::poll_events`] are in *completion*
 /// order (the order strace emitted them); [`StreamParser::finish`]
 /// re-sorts by start time exactly like the batch paths, so the final
-/// [`ParsedTrace`] matches [`parse_reader`] over the same lines.
+/// [`ParsedTrace`] matches [`parse_str`] over the same lines.
 pub struct StreamParser {
     interner: Arc<Interner>,
     state: ReaderState,
-    lineno: usize,
     polled: usize,
     symbols_before: usize,
 }
@@ -731,7 +732,6 @@ impl StreamParser {
         StreamParser {
             interner,
             state: ReaderState::default(),
-            lineno: 0,
             polled: 0,
             symbols_before,
         }
@@ -741,9 +741,8 @@ impl StreamParser {
     /// as [`str::lines`] does; line numbers for warnings count from 1
     /// in feed order).
     pub fn feed_line(&mut self, line: &str) {
-        self.lineno += 1;
         self.state
-            .feed(self.lineno, strip_line_end(line), &self.interner);
+            .feed(strip_line_end(line), &mut SharedIntern(&self.interner));
     }
 
     /// Iterates over events completed since the previous poll, in
@@ -757,7 +756,7 @@ impl StreamParser {
 
     /// Lines fed so far.
     pub fn lines_fed(&self) -> usize {
-        self.lineno
+        self.state.lines
     }
 
     /// Events completed so far (polled or not).
@@ -766,8 +765,8 @@ impl StreamParser {
     }
 
     /// Ends the stream: drains never-resumed calls into warnings and
-    /// returns the start-sorted trace, identical to [`parse_reader`]
-    /// over the same lines and interner.
+    /// returns the start-sorted trace, identical to [`parse_str`] over
+    /// the same lines and interner.
     pub fn finish(self) -> ParsedTrace {
         let parsed = self.state.finish();
         st_obs::add("events_parsed", parsed.events.len() as u64);
@@ -782,14 +781,15 @@ impl StreamParser {
 impl std::fmt::Debug for StreamParser {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamParser")
-            .field("lines_fed", &self.lineno)
+            .field("lines_fed", &self.state.lines)
             .field("events_parsed", &self.state.events.len())
             .finish_non_exhaustive()
     }
 }
 
-/// Owned pending record for the streaming reader path (lines do not
-/// outlive the read buffer, so argument slices must be copied).
+/// An owned `<unfinished ...>` record waiting for its `resumed`
+/// counterpart (lines need not outlive the read buffer, so argument
+/// slices are copied).
 #[derive(Debug)]
 struct OwnedPending {
     start: Micros,
@@ -797,12 +797,17 @@ struct OwnedPending {
     seq: usize,
 }
 
+/// The sequential assembler: one line in, at most one event out.
 #[derive(Default)]
 struct ReaderState {
+    /// Lines fed so far; warnings count lines from 1.
+    lines: usize,
+    /// Completed events tagged with their completing line, in
+    /// completion order.
     events: Vec<(usize, Event)>,
     /// Warnings in line order, capped at [`WARNING_CAP`] exemplars —
     /// the stream arrives pre-sorted, so the cap keeps exactly what
-    /// the batch paths' sort-then-truncate would keep.
+    /// `parse_par`'s sort-then-truncate keeps.
     warnings: Vec<Warning>,
     /// Warnings dropped beyond the cap.
     suppressed: usize,
@@ -813,8 +818,11 @@ struct ReaderState {
 }
 
 impl ReaderState {
-    fn feed(&mut self, lineno: usize, line: &str, interner: &Interner) {
-        let mut sink = SharedIntern(interner);
+    /// Assembles one line (terminator already stripped), interning the
+    /// strings of the call it completes, if any, into `sink`.
+    fn feed<I: Intern>(&mut self, line: &str, sink: &mut I) {
+        self.lines += 1;
+        let lineno = self.lines;
         match parse_line(line) {
             Some(Line::Empty) | Some(Line::Signal) | Some(Line::Exit { .. }) => {}
             Some(Line::Restarted) => {
@@ -865,7 +873,7 @@ impl ReaderState {
                             ret,
                             dur,
                         };
-                        if let Some(ev) = call_to_event(&call, &mut sink) {
+                        if let Some(ev) = call_to_event(&call, sink) {
                             self.events.push((lineno, ev));
                         }
                     }
@@ -880,7 +888,7 @@ impl ReaderState {
                 }
             }
             Some(Line::Call(call)) => {
-                if let Some(ev) = call_to_event(&call, &mut sink) {
+                if let Some(ev) = call_to_event(&call, sink) {
                     self.events.push((lineno, ev));
                 }
             }
@@ -1091,17 +1099,13 @@ mod tests {
     }
 
     #[test]
-    fn stream_parser_matches_parse_reader_line_for_line() {
+    fn stream_parser_matches_parse_str_line_for_line() {
         let text = format!(
             "{}77423  16:56:40.452431 read(3</usr/lib/x>, <unfinished ...>\ngarbage line\n",
             FIG2A
         );
-        let shared = Interner::new_shared();
-        let reference = {
-            let mut r = std::io::BufReader::new(text.as_bytes());
-            parse_reader(&mut r, &shared).unwrap()
-        };
-        let mut sp = StreamParser::new(Arc::clone(&shared));
+        let reference = parse_str(&text, &Interner::new());
+        let mut sp = StreamParser::new(Interner::new_shared());
         let mut polled = 0usize;
         for line in text.lines() {
             sp.feed_line(line);
@@ -1207,21 +1211,6 @@ mod tests {
         let parsed = parse_str(text, &i);
         assert_eq!(parsed.events.len(), 1);
         assert!(parsed.warnings.is_empty());
-    }
-
-    #[test]
-    fn reader_api_matches_str_api() {
-        let i1 = Interner::new();
-        let i2 = Interner::new();
-        let from_str = parse_str(FIG2A, &i1);
-        let mut cursor = std::io::Cursor::new(FIG2A.as_bytes());
-        let from_reader = parse_reader(&mut cursor, &i2).unwrap();
-        assert_eq!(from_str.events.len(), from_reader.events.len());
-        for (a, b) in from_str.events.iter().zip(&from_reader.events) {
-            assert_eq!(a.start, b.start);
-            assert_eq!(a.size, b.size);
-            assert_eq!(i1.snapshot().resolve(a.path), i2.snapshot().resolve(b.path));
-        }
     }
 
     #[test]
@@ -1444,13 +1433,12 @@ mod tests {
             assert_eq!(seq.events, par.events, "threads={threads}");
             assert_eq!(seq.warnings, par.warnings, "threads={threads}");
         }
-        let i3 = Interner::new();
-        let mut cursor = std::io::Cursor::new(text.as_bytes());
-        let streamed = parse_reader(&mut cursor, &i3).unwrap();
-        let i1 = Interner::new();
-        let seq = parse_str(&text, &i1);
+        let seq = parse_str(&text, &Interner::new());
+        let mut local = LocalInterner::new();
+        let mut streamed = parse_lines_local(text.as_bytes(), &mut local).unwrap();
+        publish_local(&mut streamed, &local, &Interner::new());
         assert_eq!(seq.warnings, streamed.warnings);
-        assert_eq!(seq.events.len(), streamed.events.len());
+        assert_eq!(seq.events, streamed.events);
     }
 
     #[test]

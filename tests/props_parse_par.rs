@@ -3,17 +3,16 @@
 //! interned symbol ids when both start from fresh interners) and same
 //! warnings in the same order — for any thread count and any input,
 //! including traces whose `<unfinished ...>` / `resumed` pairs straddle
-//! chunk boundaries. The line-at-a-time parsers (`parse_reader` and the
-//! daemon's `StreamParser`) must match `parse_str` too. Inputs mix well-formed records with arbitrary bytes
+//! chunk boundaries. The daemon's line-at-a-time `StreamParser` must
+//! match `parse_str` too. Inputs mix well-formed records with arbitrary bytes
 //! and damaged (truncated, byte-flipped) records; no parser may panic,
 //! and warnings stay capped.
 
-use std::io::Cursor;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use st_inspector::model::Interner;
-use st_inspector::strace::{parse_par, parse_reader, parse_str, StreamParser, WARNING_CAP};
+use st_inspector::strace::{parse_par, parse_str, StreamParser, WARNING_CAP};
 
 /// One generated trace record. Delays on split calls schedule the
 /// `resumed` line several records later, so pairs regularly land in
@@ -317,7 +316,7 @@ proptest! {
         prop_assert_eq!(&ra.warnings, &rb.warnings);
     }
 
-    /// The line-at-a-time parsers agree with `parse_str` on every
+    /// The line-at-a-time `StreamParser` agrees with `parse_str` on every
     /// input, damaged or not: the same events and the same warnings,
     /// which stay within the exemplar cap plus one `Suppressed` trailer.
     #[test]
@@ -327,17 +326,14 @@ proptest! {
         // then mean equal strings, whatever order each parser interns in.
         let interner = Interner::new_shared();
         let batch = parse_str(&text, &interner);
-        let reader = parse_reader(&mut Cursor::new(text.as_bytes()), &interner).unwrap();
         // The daemon feeds one `\n`-terminated line at a time.
         let mut stream = StreamParser::new(Arc::clone(&interner));
         for line in text.split_inclusive('\n') {
             stream.feed_line(line);
         }
         let stream = stream.finish();
-        for (side, parsed) in [("parse_reader", &reader), ("StreamParser", &stream)] {
-            prop_assert_eq!(&batch.events, &parsed.events, "{} text:\n{}", side, text);
-            prop_assert_eq!(&batch.warnings, &parsed.warnings, "{} text:\n{}", side, text);
-        }
+        prop_assert_eq!(&batch.events, &stream.events, "StreamParser text:\n{}", text);
+        prop_assert_eq!(&batch.warnings, &stream.warnings, "StreamParser text:\n{}", text);
         prop_assert!(batch.warnings.len() <= WARNING_CAP + 1, "{} warnings", batch.warnings.len());
     }
 }
