@@ -1,7 +1,8 @@
 //! Statistics computation scaling in n (events) and m (activities).
 //!
-//! Complexity claim (Sec. V "Implementation", step 4): O(mn) — one pass
-//! plus a per-activity grouping/aggregation.
+//! The paper's complexity claim (Sec. V "Implementation", step 4) is
+//! O(mn); this implementation is one pass plus one interval sort per
+//! activity, O(n log n) in the events.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use st_bench::synth::{generate, SynthSpec};

@@ -209,6 +209,49 @@ fn main() {
         "dfg build: {n_events} events, {build_ns_per_event:.1} ns/event ({dense_speedup:.2}x vs BTreeMap ref)"
     );
 
+    // ---- statistics: IoStatistics::compute ---------------------------
+    // Two shapes that trade activities for events per activity: 256
+    // activities over 0.96 M events and 64 over 3.84 M (`CallTopDirs(3)`
+    // keeps each synthetic path whole, so activities = 4 calls × paths).
+    let scale = if quick { 10 } else { 1 };
+    let mut stats_rows = Vec::new();
+    for (events_per_case, paths) in [(10_000usize, 64usize), (40_000, 16)] {
+        let spec = SynthSpec {
+            cases: 96,
+            events_per_case: events_per_case / scale,
+            paths,
+            seed: 3,
+        };
+        let log = generate(&spec);
+        let events = log.total_events();
+        let mapped = MappedLog::new(&log, &CallTopDirs::new(3));
+        let activities = mapped.activity_count();
+        let (dt, rows) = time_best(reps, || IoStatistics::compute(&mapped).len());
+        assert_eq!(rows, activities);
+        let ns_per_event = dt.as_nanos() as f64 / events as f64;
+        eprintln!(
+            "stats compute: {events} events x {activities} activities in {:.1} ms ({ns_per_event:.1} ns/event)",
+            dt.as_nanos() as f64 / 1e6
+        );
+        stats_rows.push(format!(
+            "{{\"events\": {events}, \"activities\": {activities}, \"ns\": {}, \"ns_per_event\": {ns_per_event:.3}}}",
+            dt.as_nanos()
+        ));
+    }
+
+    // ---- CRC-32 throughput --------------------------------------------
+    // Every block fetch, store write, salvage vet, fsck and checkpoint
+    // hashes its bytes once.
+    let crc_bytes = if quick { 8usize << 20 } else { 64usize << 20 };
+    let crc_input: Vec<u8> = (0..crc_bytes)
+        .map(|i| (i as u32).wrapping_mul(2_654_435_761) as u8)
+        .collect();
+    let (crc_dt, _) = time_best(reps, || {
+        st_store::crc::crc32(std::hint::black_box(&crc_input))
+    });
+    let crc_gbps = crc_bytes as f64 / crc_dt.as_secs_f64() / 1e9;
+    eprintln!("crc32: {crc_bytes} bytes at {crc_gbps:.2} GB/s");
+
     // ---- query: filter-scan throughput -------------------------------
     // Two predicate shapes bracket the engine: a pass-all glob (every
     // event matched, selection cost dominated by per-event evaluation)
@@ -766,12 +809,14 @@ fn main() {
     st_obs::reset();
 
     let json = format!(
-        "{{\n  \"quick\": {quick},\n  \"cores\": {cores},\n  \"host\": {host:?},\n  \"parse\": {{\n    \"lines\": {parse_lines},\n    \"seq_ns\": {},\n    \"lines_per_sec\": {lines_per_sec:.1},\n    \"events_per_sec\": {lines_per_sec:.1},\n    \"thread_sweep\": [\n      {}\n    ]\n  }},\n  \"mapping\": {{\n    \"events\": {n_events},\n    \"apply_ns_per_event\": {:.3},\n    \"apply_unmemo_ns_per_event\": {:.3},\n    \"memo_speedup\": {memo_speedup:.4}\n  }},\n  \"dfg\": {{\n    \"events\": {n_events},\n    \"build_ns_per_event\": {build_ns_per_event:.3},\n    \"btreemap_reference_ns_per_event\": {:.3},\n    \"dense_speedup_vs_btreemap\": {dense_speedup:.4},\n    \"edge_observations\": {edge_obs}\n  }},\n  \"query\": {{\n    \"events\": {n_events},\n    \"scan_pass_all_ns_per_event\": {:.3},\n    \"scan_pass_all_events_per_sec\": {scan_all_eps:.1},\n    \"scan_selective_ns_per_event\": {:.3},\n    \"scan_selective_events_per_sec\": {scan_sel_eps:.1},\n    \"selective_matched\": {sel_matched},\n    \"scan_pass_all_par4_ns_per_event\": {:.3}\n  }},\n  \"pushdown\": {{\n    \"events\": {pd_events},\n    \"store_bytes\": {},\n    \"block_events\": {},\n    \"selectivities\": [\n      {}\n    ]\n  }},\n  \"ooc\": {{\n    \"events\": {pd_events},\n    \"block_events\": {ooc_block_events},\n    \"file_bytes\": {ooc_file_len},\n    \"streaming_write_ns\": {},\n    \"peak_buffer_bytes\": {peak_buffer},\n    \"selectivities\": [\n      {}\n    ]\n  }},\n  \"requery\": {{\n    \"events\": {pd_events},\n    \"block_events\": {ooc_block_events},\n    \"matched\": {rq_cold_matched},\n    \"broad_matched\": {rq_broad_matched},\n    \"cold_ns\": {rq_cold_ns},\n    \"warm_ns\": {rq_warm_ns},\n    \"speedup\": {rq_speedup:.4},\n    \"cache_hits\": {rq_hits},\n    \"cache_misses\": {rq_misses},\n    \"hit_rate\": {rq_hit_rate:.4},\n    \"cache_resident_bytes\": {rq_resident},\n    \"warm_disk_bytes_read\": {rq_disk},\n    \"cold_ns_per_matched_event\": {rq_cold_npe:.1},\n    \"warm_ns_per_matched_event\": {rq_warm_npe:.1},\n    \"sched\": \"{rq_sched}\"\n  }},\n  \"salvage\": {{\n    \"events\": {pd_events},\n    \"strict_read_ns\": {},\n    \"clean_salvage_ns\": {},\n    \"clean_overhead_vs_strict\": {salvage_overhead:.4},\n    \"degraded_read_ns\": {},\n    \"degraded_events_recovered\": {},\n    \"degraded_blocks_recovered\": {},\n    \"blocks_total\": {}\n  }},\n  \"obs\": {{\n    \"lines\": {parse_lines},\n    \"disabled_ns\": {},\n    \"enabled_ns\": {},\n    \"enabled_over_disabled\": {obs_ratio:.4}\n  }},\n  \"serve\": [\n    {}\n  ],\n  \"source_open\": [\n    {}\n  ]\n}}\n",
+        "{{\n  \"quick\": {quick},\n  \"cores\": {cores},\n  \"host\": {host:?},\n  \"parse\": {{\n    \"lines\": {parse_lines},\n    \"seq_ns\": {},\n    \"lines_per_sec\": {lines_per_sec:.1},\n    \"events_per_sec\": {lines_per_sec:.1},\n    \"thread_sweep\": [\n      {}\n    ]\n  }},\n  \"mapping\": {{\n    \"events\": {n_events},\n    \"apply_ns_per_event\": {:.3},\n    \"apply_unmemo_ns_per_event\": {:.3},\n    \"memo_speedup\": {memo_speedup:.4}\n  }},\n  \"dfg\": {{\n    \"events\": {n_events},\n    \"build_ns_per_event\": {build_ns_per_event:.3},\n    \"btreemap_reference_ns_per_event\": {:.3},\n    \"dense_speedup_vs_btreemap\": {dense_speedup:.4},\n    \"edge_observations\": {edge_obs}\n  }},\n  \"stats_compute\": [\n    {}\n  ],\n  \"crc32\": {{\n    \"bytes\": {crc_bytes},\n    \"ns\": {},\n    \"gb_per_sec\": {crc_gbps:.3}\n  }},\n  \"query\": {{\n    \"events\": {n_events},\n    \"scan_pass_all_ns_per_event\": {:.3},\n    \"scan_pass_all_events_per_sec\": {scan_all_eps:.1},\n    \"scan_selective_ns_per_event\": {:.3},\n    \"scan_selective_events_per_sec\": {scan_sel_eps:.1},\n    \"selective_matched\": {sel_matched},\n    \"scan_pass_all_par4_ns_per_event\": {:.3}\n  }},\n  \"pushdown\": {{\n    \"events\": {pd_events},\n    \"store_bytes\": {},\n    \"block_events\": {},\n    \"selectivities\": [\n      {}\n    ]\n  }},\n  \"ooc\": {{\n    \"events\": {pd_events},\n    \"block_events\": {ooc_block_events},\n    \"file_bytes\": {ooc_file_len},\n    \"streaming_write_ns\": {},\n    \"peak_buffer_bytes\": {peak_buffer},\n    \"selectivities\": [\n      {}\n    ]\n  }},\n  \"requery\": {{\n    \"events\": {pd_events},\n    \"block_events\": {ooc_block_events},\n    \"matched\": {rq_cold_matched},\n    \"broad_matched\": {rq_broad_matched},\n    \"cold_ns\": {rq_cold_ns},\n    \"warm_ns\": {rq_warm_ns},\n    \"speedup\": {rq_speedup:.4},\n    \"cache_hits\": {rq_hits},\n    \"cache_misses\": {rq_misses},\n    \"hit_rate\": {rq_hit_rate:.4},\n    \"cache_resident_bytes\": {rq_resident},\n    \"warm_disk_bytes_read\": {rq_disk},\n    \"cold_ns_per_matched_event\": {rq_cold_npe:.1},\n    \"warm_ns_per_matched_event\": {rq_warm_npe:.1},\n    \"sched\": \"{rq_sched}\"\n  }},\n  \"salvage\": {{\n    \"events\": {pd_events},\n    \"strict_read_ns\": {},\n    \"clean_salvage_ns\": {},\n    \"clean_overhead_vs_strict\": {salvage_overhead:.4},\n    \"degraded_read_ns\": {},\n    \"degraded_events_recovered\": {},\n    \"degraded_blocks_recovered\": {},\n    \"blocks_total\": {}\n  }},\n  \"obs\": {{\n    \"lines\": {parse_lines},\n    \"disabled_ns\": {},\n    \"enabled_ns\": {},\n    \"enabled_over_disabled\": {obs_ratio:.4}\n  }},\n  \"serve\": [\n    {}\n  ],\n  \"source_open\": [\n    {}\n  ]\n}}\n",
         seq_dt.as_nanos(),
         sweep_rows.join(",\n      "),
         map_dt.as_nanos() as f64 / n_events as f64,
         unmemo_dt.as_nanos() as f64 / n_events as f64,
         btree_dt.as_nanos() as f64 / n_events as f64,
+        stats_rows.join(",\n    "),
+        crc_dt.as_nanos(),
         scan_all_dt.as_nanos() as f64 / n_events as f64,
         scan_sel_dt.as_nanos() as f64 / n_events as f64,
         scan_par_dt.as_nanos() as f64 / n_events as f64,

@@ -9,7 +9,7 @@
 //! * [`experiments::ior_mpiio`] — Sec. V-B (Fig. 9): IOR with vs without
 //!   the MPI-IO interface;
 //! * [`synth`] — synthetic event-log generation for the complexity
-//!   benches (mapping O(n), DFG O(n), stats O(mn), render O(m²)).
+//!   benches (mapping O(n), DFG O(n), stats O(n log n), render O(m²)).
 //!
 //! The `figures` binary (`cargo run -p st-bench --bin figures`)
 //! regenerates every figure: the DOT graphs, the per-node statistics

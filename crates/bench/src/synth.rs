@@ -2,7 +2,8 @@
 //!
 //! The paper's Sec. V "Implementation" claims: filtering and mapping are
 //! O(n), DFG construction is O(n), statistics are O(mn), rendering is
-//! O(m²) worst case. The benches sweep `n` (events) and `m` (distinct
+//! O(m²) worst case. Here statistics are O(n log n): one interval sort
+//! per activity. The benches sweep `n` (events) and `m` (distinct
 //! activities) on logs produced here.
 
 use rand::rngs::SmallRng;

@@ -14,15 +14,17 @@
 //!   simultaneously active events — the `Ranks:` annotation that appears
 //!   on some nodes of Fig. 3c.
 //!
+//! All three concurrency values come from one start sort and one end
+//! sort of each activity's intervals, so the statistics cost O(n log n)
+//! per activity.
+//!
 //! Nodes render these as `Load: rd (bytes)` and `DR: mc × rate`
 //! (Eqs. 10 and 17).
-
-use std::collections::HashMap;
 
 use st_model::Micros;
 
 use crate::activity::{ActivityId, ActivityTable};
-use crate::concurrency::{max_concurrency_exact, max_concurrency_windowed};
+use crate::concurrency::max_concurrency;
 use crate::mapped::MappedLog;
 
 /// Statistics for one activity.
@@ -60,8 +62,8 @@ pub struct IoStatistics {
 }
 
 impl IoStatistics {
-    /// Computes all statistics in one pass over the mapped events plus a
-    /// per-activity interval sort (the paper's O(mn) step).
+    /// Computes all statistics in one pass over the mapped events plus
+    /// [`max_concurrency`] per activity (O(n log n) in its n events).
     pub fn compute(mapped: &MappedLog<'_>) -> IoStatistics {
         let _span = st_obs::span!("stats.compute");
         Self::accumulate(mapped, mapped.iter_mapped())
@@ -93,8 +95,7 @@ impl IoStatistics {
             bytes: u64,
             rate_sum: f64,
             rated: u64,
-            intervals: Vec<(Micros, Micros)>,
-            case_intervals: Vec<(usize, Micros, Micros)>,
+            intervals: Vec<(Micros, Micros, usize)>,
         }
         let mut acc: Vec<Accum> = (0..m)
             .map(|_| Accum {
@@ -104,7 +105,6 @@ impl IoStatistics {
                 rate_sum: 0.0,
                 rated: 0,
                 intervals: Vec::new(),
-                case_intervals: Vec::new(),
             })
             .collect();
 
@@ -119,32 +119,35 @@ impl IoStatistics {
                 a.rate_sum += rate;
                 a.rated += 1;
             }
-            let interval = event.interval();
-            a.intervals.push(interval);
-            a.case_intervals.push((case_idx, interval.0, interval.1));
+            let (start, end) = event.interval();
+            a.intervals.push((start, end, case_idx));
         }
 
         let total_dur: Micros = acc.iter().map(|a| a.dur).sum();
+        let mut open = vec![0; mapped.log().case_count()];
         let per = acc
             .into_iter()
-            .map(|a| ActivityStats {
-                events: a.events,
-                total_dur: a.dur,
-                rel_dur: if total_dur.as_micros() == 0 {
-                    0.0
-                } else {
-                    a.dur.as_micros() as f64 / total_dur.as_micros() as f64
-                },
-                bytes: a.bytes,
-                mean_rate_bps: if a.rated == 0 {
-                    0.0
-                } else {
-                    a.rate_sum / a.rated as f64
-                },
-                rated_events: a.rated,
-                max_concurrency: max_concurrency_windowed(&a.intervals),
-                max_concurrency_exact: max_concurrency_exact(&a.intervals),
-                case_concurrency: case_concurrency(&a.case_intervals),
+            .map(|mut a| {
+                let (windowed, exact, cases) = max_concurrency(&mut a.intervals, &mut open);
+                ActivityStats {
+                    events: a.events,
+                    total_dur: a.dur,
+                    rel_dur: if total_dur.as_micros() == 0 {
+                        0.0
+                    } else {
+                        a.dur.as_micros() as f64 / total_dur.as_micros() as f64
+                    },
+                    bytes: a.bytes,
+                    mean_rate_bps: if a.rated == 0 {
+                        0.0
+                    } else {
+                        a.rate_sum / a.rated as f64
+                    },
+                    rated_events: a.rated,
+                    max_concurrency: windowed,
+                    max_concurrency_exact: exact,
+                    case_concurrency: cases,
+                }
             })
             .collect();
 
@@ -226,38 +229,6 @@ impl IoStatistics {
     pub fn is_empty(&self) -> bool {
         self.per.is_empty()
     }
-}
-
-/// Maximum number of distinct cases simultaneously active: sweep over
-/// boundaries keeping a per-case open-interval count.
-fn case_concurrency(intervals: &[(usize, Micros, Micros)]) -> u32 {
-    if intervals.is_empty() {
-        return 0;
-    }
-    let mut boundaries: Vec<(Micros, i32, usize)> = Vec::with_capacity(intervals.len() * 2);
-    for &(case, start, end) in intervals {
-        boundaries.push((start, 1, case));
-        boundaries.push((end.max(start), -1, case));
-    }
-    boundaries.sort_by_key(|&(t, delta, _)| (t, delta));
-    let mut per_case: HashMap<usize, i32> = HashMap::new();
-    let mut active_cases = 0u32;
-    let mut best = 0u32;
-    for (_, delta, case) in boundaries {
-        let counter = per_case.entry(case).or_insert(0);
-        let was_active = *counter > 0;
-        *counter += delta;
-        let is_active = *counter > 0;
-        match (was_active, is_active) {
-            (false, true) => {
-                active_cases += 1;
-                best = best.max(active_cases);
-            }
-            (true, false) => active_cases -= 1,
-            _ => {}
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -350,24 +321,6 @@ mod tests {
         let b = stats.get_by_name("read:/etc/passwd").unwrap();
         assert_eq!(b.max_concurrency, 1);
         assert_eq!(b.case_concurrency, 1);
-    }
-
-    #[test]
-    fn case_concurrency_counts_distinct_cases_only() {
-        // Two overlapping events from the SAME case: case concurrency 1,
-        // event concurrency 2.
-        let intervals = vec![
-            (0usize, Micros(0), Micros(100)),
-            (0usize, Micros(10), Micros(90)),
-            (1usize, Micros(200), Micros(300)),
-        ];
-        assert_eq!(super::case_concurrency(&intervals), 1);
-        let overlapping = vec![
-            (0usize, Micros(0), Micros(100)),
-            (1usize, Micros(10), Micros(90)),
-        ];
-        assert_eq!(super::case_concurrency(&overlapping), 2);
-        assert_eq!(super::case_concurrency(&[]), 0);
     }
 
     #[test]

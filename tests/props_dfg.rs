@@ -114,7 +114,7 @@ proptest! {
         prop_assert_eq!(stat_bytes, log.total_bytes());
         for (_, _, s) in stats.iter() {
             prop_assert!(s.max_concurrency >= s.max_concurrency_exact);
-            prop_assert!(s.case_concurrency <= s.max_concurrency_exact.max(s.case_concurrency));
+            prop_assert!(s.case_concurrency <= s.max_concurrency_exact);
             prop_assert!(u64::from(s.max_concurrency) <= s.events);
         }
     }
