@@ -34,6 +34,7 @@
 use st_model::{Case, CaseMeta, Event, EventLog, Interner, Micros, Symbol, Syscall};
 use st_store::format::{path_bloom_probes, CaseDir, ZoneMap, CALL_MASK_OTHER};
 use st_store::{BlockRead, StoreError};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 pub use st_store::format::{ColumnSet, Decision};
 
@@ -456,14 +457,16 @@ pub struct PrunedRead {
 /// `route.reason` notes).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedDecision {
-    /// Decode workers actually used (`1` = sequential in-place decode).
+    /// Decode workers the route ran (`1` = decoded on the calling
+    /// thread, one unit per case); never more than the decode units the
+    /// work list was cut into.
     pub workers: usize,
     /// Why: explicit request, core count, or the block/byte cost model.
     pub reason: String,
 }
 
 /// Parallel decode only pays off past a few surviving blocks — below
-/// this, thread spawn + channel assembly beat any overlap.
+/// this, thread spawns and the per-unit buffers beat any overlap.
 const PAR_MIN_BLOCKS: usize = 4;
 
 /// Estimated column-segment bytes below which a decode is too small to
@@ -484,11 +487,12 @@ fn estimated_decode_bytes(block: &st_store::format::BlockDir, cols: ColumnSet) -
 /// Pure seq-vs-par cost model: explicit `threads` requests are honored
 /// (so the par ≡ seq property tests exercise the real parallel path
 /// regardless of the host); `threads == 0` auto-selects from the core
-/// count, surviving-block count and estimated decode bytes.
+/// count, surviving-block count and estimated decode bytes. The result
+/// is a worker budget: [`SchedDecision::capped`] then caps it at the
+/// decode units the work list is cut into for that budget.
 fn schedule(threads: usize, cores: usize, blocks: usize, est_bytes: u64) -> SchedDecision {
-    let cap = blocks.max(1);
     if threads != 0 {
-        let workers = threads.min(cap);
+        let workers = threads;
         let reason = if workers <= 1 {
             format!("seq: {threads} worker(s) requested for {blocks} surviving block(s)")
         } else {
@@ -519,14 +523,74 @@ fn schedule(threads: usize, cores: usize, blocks: usize, est_bytes: u64) -> Sche
             ),
         };
     }
-    let workers = cores.min(cap);
     SchedDecision {
-        workers,
+        workers: cores,
         reason: format!(
-            "par: {workers} workers over {blocks} blocks (~{est_bytes} B estimated decode, \
+            "par: {cores} workers over {blocks} blocks (~{est_bytes} B estimated decode, \
              {cores} cores)"
         ),
     }
+}
+
+impl SchedDecision {
+    /// Caps a worker budget at the `units` the work list was cut into:
+    /// a worker with no unit to pull is never spawned.
+    fn capped(self, units: usize) -> SchedDecision {
+        if self.workers <= 1 || units >= self.workers {
+            return self;
+        }
+        let workers = units.max(1);
+        let mode = if workers == 1 { "seq" } else { "par" };
+        SchedDecision {
+            workers,
+            reason: format!("{mode}: capped at {units} decode unit(s); {}", self.reason),
+        }
+    }
+}
+
+/// A decode unit: the run `work[items]` of consecutive surviving blocks
+/// of one case, decoded by one worker into one buffer of `events`
+/// capacity (the blocks' events before the residual filter).
+struct Unit {
+    items: std::ops::Range<usize>,
+    case_ord: usize,
+    events: usize,
+}
+
+/// Cuts the work list into [`Unit`]s for `workers` workers. A unit never
+/// crosses a case. With more than one worker, a unit also closes before
+/// its estimated decode bytes pass `est_bytes / (4 × workers)`: enough
+/// units that dynamic pulling evens out cheap cache hits against
+/// expensive misses, few enough that the per-unit buffers stay large.
+/// With one worker there is no cap, and a unit is a whole case.
+fn cut_units(work: &[Work<'_>], cols: ColumnSet, est_bytes: u64, workers: usize) -> Vec<Unit> {
+    let cap = if workers <= 1 {
+        u64::MAX
+    } else {
+        est_bytes / (4 * workers as u64)
+    };
+    let mut units: Vec<Unit> = Vec::new();
+    let mut bytes = 0u64;
+    for (idx, item) in work.iter().enumerate() {
+        let est = estimated_decode_bytes(item.block, cols);
+        let events = item.block.events as usize;
+        match units.last_mut() {
+            Some(unit) if unit.case_ord == item.case_ord && bytes.saturating_add(est) <= cap => {
+                unit.items.end = idx + 1;
+                unit.events += events;
+                bytes += est;
+            }
+            _ => {
+                units.push(Unit {
+                    items: idx..idx + 1,
+                    case_ord: item.case_ord,
+                    events,
+                });
+                bytes = est;
+            }
+        }
+    }
+    units
 }
 
 /// One surviving block of the prune plan: which case it belongs to (as
@@ -552,6 +616,7 @@ fn decode_work_into<R: BlockRead + ?Sized>(
     let first = out.len();
     let bytes = reader.decode_block(work.block, cols, out)?;
     if work.decision != Decision::Accept {
+        let _span = st_obs::span!("query.pushdown.residual");
         let mut keep = first;
         for idx in first..out.len() {
             if pred.matches(ctx, &work.meta, &out[idx]) {
@@ -590,22 +655,26 @@ pub fn read_pruned<R: BlockRead + ?Sized>(
     read_pruned_par(reader, pred, emit, 1)
 }
 
-/// Parallel [`read_pruned`]: the blocks that survive pruning are fanned
-/// out over a shared work queue to `threads` scoped workers for
-/// decoding and residual evaluation — blocks are independently
-/// decodable (in-block delta timestamps, per-block CRC), so only the
-/// final per-case assembly is sequential. Produces exactly the
-/// sequential result: the same log (symbol ids included) and the same
-/// [`PushdownStats`].
+/// [`read_pruned`] over up to `threads` decode workers. Blocks decode
+/// independently (in-block delta timestamps, per-block CRC), so the
+/// blocks that survive pruning are cut into units: runs of consecutive
+/// blocks of one case, each a share of the estimated decode bytes.
+/// Workers pull units off a shared counter and decode each, residual
+/// predicate included, into a buffer pre-sized to the unit's events;
+/// cases are then assembled in unit order. With one worker a unit is a
+/// whole case and no thread is spawned. Every worker count produces
+/// exactly the sequential result: the same log (symbol ids included)
+/// and the same [`PushdownStats`]. If units fail, the error is the one
+/// of the first failing unit in directory order.
 ///
 /// `threads == 0` engages the cost-aware scheduler: it stays
 /// sequential when the host has one core, when too few blocks survive
 /// pruning, or when the estimated column bytes to decode are too small
 /// to amortize worker spawns — and goes parallel otherwise. The choice
 /// and its reason are returned in [`PrunedRead::sched`]. An explicit
-/// `threads >= 1` is always honored (capped at the surviving block
-/// count), keeping the unconditional parallel path available to
-/// property tests and benchmarks.
+/// `threads >= 1` is always honored, capped at the number of units,
+/// keeping the parallel route available to property tests and
+/// benchmarks.
 pub fn read_pruned_par<R: BlockRead + ?Sized>(
     reader: &R,
     pred: &Predicate,
@@ -655,6 +724,7 @@ pub fn read_pruned_par<R: BlockRead + ?Sized>(
     // work list (cheap — no event byte is touched).
     let plan_span = st_obs::span!("query.pushdown.plan");
     let mut metas: Vec<CaseMeta> = Vec::new();
+    let mut case_events: Vec<usize> = Vec::new();
     let mut work: Vec<Work<'_>> = Vec::new();
     for case in directory {
         let case_decision = plan.decide_case(case);
@@ -670,6 +740,7 @@ pub fn read_pruned_par<R: BlockRead + ?Sized>(
         };
         let case_ord = metas.len();
         metas.push(meta);
+        case_events.push(0);
         for block in &case.blocks {
             let decision = if case_decision == Decision::Accept {
                 Decision::Accept
@@ -683,6 +754,7 @@ pub fn read_pruned_par<R: BlockRead + ?Sized>(
                         stats.blocks_accepted += 1;
                     }
                     stats.events_decoded += u64::from(block.events);
+                    case_events[case_ord] += block.events as usize;
                     work.push(Work {
                         case_ord,
                         meta,
@@ -696,12 +768,15 @@ pub fn read_pruned_par<R: BlockRead + ?Sized>(
     drop(plan_span);
 
     // Decode: surviving blocks are independent (in-block delta
-    // timestamps, per-block CRC). The sequential path streams each
-    // block straight into its case's accumulator (no intermediate
-    // buffers — this is the hot loop of a pass-all load); the parallel
-    // path fans blocks out to scoped workers whose per-block results
-    // land in order-indexed slots, so assembly — and therefore the
-    // output — is identical either way.
+    // timestamps, per-block CRC). The work list is cut into units, runs
+    // of consecutive blocks of one case, and each unit decodes into its
+    // own buffer pre-sized to the unit's events. One worker decodes on
+    // this thread, one unit per case, straight into the case's final
+    // buffer. More workers pull units off a shared counter: dynamic, so
+    // a worker on cache misses does not hold back one on cache hits.
+    // Cases are assembled in unit order, so the output is identical at
+    // every worker count, and the first failing unit in directory order
+    // decides the error.
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -710,73 +785,61 @@ pub fn read_pruned_par<R: BlockRead + ?Sized>(
         .map(|item| estimated_decode_bytes(item.block, cols))
         .sum();
     let sched = schedule(threads, cores, work.len(), est_bytes);
-    let workers = sched.workers;
-    // Per-case accumulators. The sequential path decodes straight into
-    // them, so pre-size each to its case's total surviving events; the
-    // parallel path assembles from per-block buffers instead (the first
-    // block's buffer is moved in), so empty vectors suffice there.
-    let mut cases: Vec<Vec<Event>> = if workers <= 1 {
-        let mut totals = vec![0usize; metas.len()];
-        for item in &work {
-            totals[item.case_ord] += item.block.events as usize;
-        }
-        totals.into_iter().map(Vec::with_capacity).collect()
-    } else {
-        metas.iter().map(|_| Vec::new()).collect()
-    };
+    let units = cut_units(&work, cols, est_bytes, sched.workers);
+    let sched = sched.capped(units.len());
     let decode_span = st_obs::span!("query.pushdown.decode", blocks = work.len());
-    if workers <= 1 {
-        for item in &work {
-            stats.bytes_decoded +=
-                decode_work_into(reader, item, cols, pred, &ctx, &mut cases[item.case_ord])? as u64;
+    let decode_unit = |unit: &Unit| -> Result<(Vec<Event>, usize), StoreError> {
+        let mut events = Vec::with_capacity(unit.events);
+        let mut bytes = 0;
+        for item in &work[unit.items.clone()] {
+            bytes += decode_work_into(reader, item, cols, pred, &ctx, &mut events)?;
         }
+        Ok((events, bytes))
+    };
+    let decoded: Vec<(Vec<Event>, usize)> = if sched.workers <= 1 {
+        units.iter().map(decode_unit).collect::<Result<_, _>>()?
     } else {
-        let mut slots: Vec<Option<(Vec<Event>, usize)>> = (0..work.len()).map(|_| None).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let (tx, rx) = std::sync::mpsc::channel();
+        let next = AtomicUsize::new(0);
         let obs_cx = st_obs::context();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let work = &work;
-                let ctx = &ctx;
-                let obs_cx = obs_cx.clone();
-                scope.spawn(move || {
-                    let _obs = obs_cx.attach();
-                    loop {
-                        let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if idx >= work.len() {
-                            break;
+        let mut done: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..sched.workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let _obs = obs_cx.attach();
+                        let mut mine = Vec::new();
+                        while let Some(unit) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
+                            mine.push((unit.items.start, decode_unit(unit)));
                         }
-                        let item = &work[idx];
-                        let mut events = Vec::with_capacity(item.block.events as usize);
-                        let result = decode_work_into(reader, item, cols, pred, ctx, &mut events)
-                            .map(|bytes| (events, bytes));
-                        if tx.send((idx, result)).is_err() {
-                            break;
-                        }
-                    }
-                });
+                        mine
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("decode worker panicked"))
+                .collect()
+        });
+        done.sort_unstable_by_key(|(first, _)| *first);
+        done.into_iter()
+            .map(|(_, result)| result)
+            .collect::<Result<_, _>>()?
+    };
+    // A case split across units takes its first unit's buffer and
+    // appends the rest; the first append that does not fit reserves for
+    // every event the case can still receive, so the buffer grows once.
+    let mut cases: Vec<Vec<Event>> = metas.iter().map(|_| Vec::new()).collect();
+    for (unit, (events, bytes)) in units.iter().zip(decoded) {
+        stats.bytes_decoded += bytes as u64;
+        let case = &mut cases[unit.case_ord];
+        if case.is_empty() {
+            *case = events;
+        } else {
+            if case.capacity() - case.len() < events.len() {
+                case.reserve(case_events[unit.case_ord] - case.len());
             }
-            drop(tx);
-            for (idx, result) in rx {
-                slots[idx] = Some(result?);
-            }
-            Ok::<(), StoreError>(())
-        })?;
-        // Concatenate each case's surviving blocks in directory order.
-        for (item, slot) in work.iter().zip(slots) {
-            let (events, bytes) = slot.expect("every work item decoded");
-            stats.bytes_decoded += bytes as u64;
-            if cases[item.case_ord].is_empty() {
-                cases[item.case_ord] = events;
-            } else {
-                cases[item.case_ord].extend(events);
-            }
+            case.extend(events);
         }
     }
-
     drop(decode_span);
 
     // Cases with no match are dropped (as `scan` does).
@@ -927,16 +990,63 @@ mod tests {
         assert_eq!(stats.events_matched, stats.events_total);
     }
 
+    /// One case of 1024 events: mostly-ok reads with every fifth call a
+    /// write. Before event 768 only reads fail, so in blocks there the
+    /// zone maps cannot rule out `ok=false class=write` while the
+    /// residual drops every event.
+    fn one_case_sample() -> EventLog {
+        let mut log = EventLog::with_new_interner();
+        let i = Arc::clone(log.interner());
+        let meta = CaseMeta {
+            cid: i.intern("solo"),
+            host: i.intern("h1"),
+            rid: 0,
+        };
+        let events = (0..1024u64)
+            .map(|k| {
+                let call = if k % 5 == 0 {
+                    Syscall::Write
+                } else {
+                    Syscall::Read
+                };
+                let path = i.intern(&format!("/scratch/part{}", k % 9));
+                let e = Event::new(Pid(7), call, Micros(k * 20), Micros(3), path);
+                if k % 7 == 3 && (k >= 768 || call == Syscall::Read) {
+                    e.failed()
+                } else {
+                    e.with_size(k)
+                }
+            })
+            .collect();
+        log.push_case(Case::from_events(meta, events));
+        log
+    }
+
     #[test]
     fn parallel_decode_equals_sequential() {
-        for expr in ["true", "path~\"*.h5\"", "ok=false", "cid=a or class=write"] {
-            let pred = parse_expr(expr).unwrap();
-            for blocks in [1, 7, 64] {
-                // A fresh reader per run: `bytes_read` is cumulative.
-                let seq = read_pruned(&reader(blocks), &pred, ColumnSet::ALL).unwrap();
+        // `sample()` at 1, 7 and 64 events per block, and a one-case
+        // store of 128 blocks that every worker count > 1 cuts into
+        // several units.
+        let images = [1, 7, 64]
+            .map(|blocks| to_bytes_blocked(&sample(), blocks).unwrap())
+            .into_iter()
+            .chain([to_bytes_blocked(&one_case_sample(), 8).unwrap()]);
+        for image in images {
+            // A fresh reader per run: `bytes_read` is cumulative.
+            let open =
+                || SegmentReader::from_source(Arc::new(BytesSegment::new(image.clone()))).unwrap();
+            for expr in [
+                "true",
+                "path~\"*.h5\"",
+                "ok=false",
+                "ok=false class=write",
+                "cid=a or class=write",
+            ] {
+                let pred = parse_expr(expr).unwrap();
+                let seq = read_pruned(&open(), &pred, ColumnSet::ALL).unwrap();
+                assert_eq!(seq.sched.workers, 1);
                 for threads in [2, 3, 8] {
-                    let par =
-                        read_pruned_par(&reader(blocks), &pred, ColumnSet::ALL, threads).unwrap();
+                    let par = read_pruned_par(&open(), &pred, ColumnSet::ALL, threads).unwrap();
                     assert_eq!(seq.log.cases(), par.log.cases(), "{expr} x{threads}");
                     assert_eq!(
                         format!("{:?}", seq.stats),
@@ -948,17 +1058,182 @@ mod tests {
         }
     }
 
+    /// Forces two decode workers to interleave: the decode of the gate
+    /// block (the store's first) waits until another thread has decoded
+    /// a block, and that thread then waits until the gate holder has
+    /// decoded a block past its own. Whichever worker spawned first, one
+    /// then runs unit 0 and a later unit while the other runs the unit
+    /// between them. Waits time out, so a route that stops interleaving
+    /// still returns, and `released` records whether it did interleave.
+    struct Interleaved {
+        inner: SegmentReader,
+        gate: u64,
+        state: std::sync::Mutex<Turns>,
+        turn: std::sync::Condvar,
+    }
+
+    #[derive(Default)]
+    struct Turns {
+        holder: Option<std::thread::ThreadId>,
+        other: Option<u64>,
+        released: bool,
+    }
+
+    impl BlockRead for Interleaved {
+        fn strings(&self) -> &[String] {
+            self.inner.strings()
+        }
+        fn directory(&self) -> Option<&[st_store::CaseDir]> {
+            BlockRead::directory(&self.inner)
+        }
+        fn decode_block(
+            &self,
+            block: &st_store::BlockDir,
+            cols: ColumnSet,
+            out: &mut Vec<Event>,
+        ) -> Result<usize, StoreError> {
+            let me = std::thread::current().id();
+            let patience = std::time::Duration::from_secs(5);
+            if block.offset == self.gate {
+                let turns = self.state.lock().unwrap();
+                let (mut turns, _) = self
+                    .turn
+                    .wait_timeout_while(turns, patience, |t| t.other.is_none())
+                    .unwrap();
+                turns.holder = Some(me);
+            }
+            let parsed = self.inner.decode_block(block, cols, out)?;
+            let mut turns = self.state.lock().unwrap();
+            if turns.holder == Some(me) {
+                if turns.other.is_some_and(|other| block.offset > other) {
+                    turns.released = true;
+                    self.turn.notify_all();
+                }
+            } else if turns.other.is_none() && block.offset != self.gate {
+                turns.other = Some(block.offset);
+                self.turn.notify_all();
+                drop(
+                    self.turn
+                        .wait_timeout_while(turns, patience, |t| !t.released)
+                        .unwrap(),
+                );
+            }
+            Ok(parsed)
+        }
+        fn bytes_read(&self) -> u64 {
+            self.inner.bytes_read()
+        }
+    }
+
+    #[test]
+    fn parallel_decode_keeps_unit_order_when_workers_interleave() {
+        let image = to_bytes_blocked(&one_case_sample(), 8).unwrap();
+        let open =
+            || SegmentReader::from_source(Arc::new(BytesSegment::new(image.clone()))).unwrap();
+        for expr in ["true", "ok=false class=write"] {
+            let pred = parse_expr(expr).unwrap();
+            let seq = read_pruned(&open(), &pred, ColumnSet::ALL).unwrap();
+            let inner = open();
+            let gate = inner.directory()[0].blocks[0].offset;
+            let r = Interleaved {
+                inner,
+                gate,
+                state: Default::default(),
+                turn: Default::default(),
+            };
+            let par = read_pruned_par(&r, &pred, ColumnSet::ALL, 2).unwrap();
+            assert!(
+                r.state.lock().unwrap().released,
+                "{expr}: workers did not interleave"
+            );
+            assert_eq!(seq.log.cases(), par.log.cases(), "{expr}");
+        }
+    }
+
+    #[test]
+    fn units_split_long_cases_and_never_cross_cases() {
+        let r = SegmentReader::from_source(Arc::new(BytesSegment::new(
+            to_bytes_blocked(&one_case_sample(), 8).unwrap(),
+        )))
+        .unwrap();
+        let pred = parse_expr("ok=false class=write").unwrap();
+        // The residual empties the early units; only the last quarter
+        // of the case matches, and every worker has units to pull.
+        let seq = read_pruned(&r, &pred, ColumnSet::ALL).unwrap();
+        assert!(seq.stats.events_matched > 0);
+        assert!(seq.log.cases()[0]
+            .events
+            .iter()
+            .all(|e| e.start >= Micros(768 * 20)));
+        for threads in [2, 3, 8] {
+            let par = read_pruned_par(&r, &pred, ColumnSet::ALL, threads).unwrap();
+            assert_eq!(par.sched.workers, threads, "{}", par.sched.reason);
+        }
+
+        let directory = reader(7).directory().to_vec();
+        let work: Vec<Work<'_>> = directory
+            .iter()
+            .enumerate()
+            .flat_map(|(case_ord, case)| {
+                case.blocks.iter().map(move |block| Work {
+                    case_ord,
+                    meta: CaseMeta {
+                        cid: case.cid,
+                        host: case.host,
+                        rid: case.rid,
+                    },
+                    block,
+                    decision: Decision::Maybe,
+                })
+            })
+            .collect();
+        let est = work
+            .iter()
+            .map(|item| estimated_decode_bytes(item.block, ColumnSet::ALL))
+            .sum();
+        for workers in [1, 2, 8] {
+            let units = cut_units(&work, ColumnSet::ALL, est, workers);
+            // Units tile the work list in order, one case each.
+            let mut next = 0;
+            for unit in &units {
+                assert_eq!(unit.items.start, next);
+                next = unit.items.end;
+                assert!(work[unit.items.clone()]
+                    .iter()
+                    .all(|item| item.case_ord == unit.case_ord));
+                let events: u32 = work[unit.items.clone()]
+                    .iter()
+                    .map(|w| w.block.events)
+                    .sum();
+                assert_eq!(unit.events, events as usize);
+            }
+            assert_eq!(next, work.len());
+            if workers == 1 {
+                assert_eq!(units.len(), directory.len(), "one unit per case");
+            } else {
+                assert!(units.len() > directory.len(), "x{workers}: cases split");
+            }
+        }
+    }
+
     #[test]
     fn scheduler_cost_model_picks_seq_when_par_cannot_pay() {
-        // Explicit requests are always honored (capped at block count).
+        // Explicit requests are always honored, then capped at the
+        // decode units the route has to hand out.
         let d = schedule(3, 1, 10, 0);
         assert_eq!(d.workers, 3);
         assert!(d.reason.starts_with("par:"), "{}", d.reason);
-        let d = schedule(8, 16, 2, u64::MAX);
+        assert_eq!(d.clone().capped(10), d);
+        let d = schedule(8, 16, 2, u64::MAX).capped(2);
         assert_eq!(d.workers, 2);
+        assert!(d.reason.starts_with("par: capped at 2"), "{}", d.reason);
+        let d = schedule(8, 16, 1, u64::MAX).capped(1);
+        assert_eq!(d.workers, 1);
+        assert!(d.reason.starts_with("seq:"), "{}", d.reason);
         let d = schedule(1, 16, 100, u64::MAX);
         assert_eq!(d.workers, 1);
         assert!(d.reason.starts_with("seq:"), "{}", d.reason);
+        assert_eq!(d.clone().capped(0), d, "a seq decision is never rewritten");
         // Auto: one core always decodes sequentially.
         let d = schedule(0, 1, 1_000, u64::MAX);
         assert_eq!(d.workers, 1);
@@ -971,12 +1246,13 @@ mod tests {
         let d = schedule(0, 8, 100, PAR_MIN_DECODE_BYTES - 1);
         assert_eq!(d.workers, 1);
         assert!(d.reason.contains("below par threshold"), "{}", d.reason);
-        // Auto: enough of everything goes parallel, capped at cores.
+        // Auto: enough of everything goes parallel, one worker per core
+        // and never more than the decode units.
         let d = schedule(0, 8, 100, PAR_MIN_DECODE_BYTES);
         assert_eq!(d.workers, 8);
         assert!(d.reason.starts_with("par:"), "{}", d.reason);
-        let d = schedule(0, 8, 5, PAR_MIN_DECODE_BYTES);
-        assert_eq!(d.workers, 5, "capped at surviving blocks");
+        let d = schedule(0, 8, 5, PAR_MIN_DECODE_BYTES).capped(5);
+        assert_eq!(d.workers, 5, "capped at decode units");
     }
 
     #[test]

@@ -90,9 +90,9 @@ struct RequeryState {
 /// [`PipelineReport`] as `route.workers` / `route.reason`.
 ///
 /// On a single-core host the planner always chooses the sequential
-/// route — even for an explicit `threads > 1` request — because the
-/// scoped-worker fan-out only adds channel and reassembly overhead
-/// when there is no second core to run it (the `pushdown_par4_ns`
+/// route — even for an explicit `threads > 1` request — because
+/// scoped workers only add thread spawns and per-unit buffers when
+/// there is no second core to run them (the `pushdown_par4_ns`
 /// regression). Library callers going straight to
 /// [`st_query::read_pruned_par`] / [`st_query::scan_par`] keep full
 /// control of the worker count.

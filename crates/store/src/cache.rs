@@ -30,14 +30,23 @@
 //! identities, which are container-global and independent of which
 //! blocks were decoded when.
 //!
+//! ## Shared entries, copies outside the lock
+//!
+//! An entry's events are an `Arc<[Event]>`. Under the cache lock a hit
+//! only bumps the entry's LRU clock and clones the `Arc`, and an insert
+//! only links in an `Arc` built before the lock was taken. The copy into
+//! the caller's buffer and the column projection run outside the lock,
+//! so parallel decode workers never queue behind each other's memcpy.
+//!
 //! ## Budget
 //!
 //! The cache is byte-budgeted: each entry is charged its resident cost
 //! (`events × size_of::<Event>()` plus a fixed per-entry overhead) and
 //! least-recently-used entries are evicted until the total fits the
 //! budget. An entry larger than the whole budget is not admitted at
-//! all. The budget is a hard invariant, property-tested in
-//! `tests/props_requery.rs`.
+//! all. The budget is a hard invariant on resident entries,
+//! property-tested in `tests/props_requery.rs`; an evicted entry that a
+//! hit is still copying out lives on only until that copy ends.
 //!
 //! ## Observability
 //!
@@ -50,7 +59,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use st_model::{Event, Micros, Pid};
 
@@ -86,7 +95,7 @@ pub struct CacheStats {
 
 struct Entry {
     cols: ColumnSet,
-    events: Box<[Event]>,
+    events: Arc<[Event]>,
     cost: u64,
     last_used: u64,
 }
@@ -100,7 +109,7 @@ struct Inner {
 
 /// A bounded, byte-budgeted LRU of decoded blocks.
 ///
-/// Shared behind an [`Arc`](std::sync::Arc) between a `Session` and its
+/// Shared behind an [`Arc`] between a `Session` and its
 /// refilter runs; internally synchronized, so the parallel pushdown
 /// path can consult it from worker threads through a shared
 /// [`CachedBlockRead`].
@@ -156,40 +165,45 @@ impl BlockCache {
         }
     }
 
-    /// Looks up `(token, block)` at `cols`; on a (superset) hit appends
-    /// the projected events to `out` and returns `true`.
-    fn lookup(&self, token: u64, block: &BlockDir, cols: ColumnSet, out: &mut Vec<Event>) -> bool {
+    /// Looks up `(token, block)` at `cols`. On a (superset) hit returns
+    /// the entry's shared events and the columns the caller must reset
+    /// to project them down to `cols`; the copy happens outside the lock.
+    fn lookup(
+        &self,
+        token: u64,
+        block: &BlockDir,
+        cols: ColumnSet,
+    ) -> Option<(Arc<[Event]>, ColumnSet)> {
         let want = cols.union(ColumnSet::IDENTITY);
         let mut inner = self.inner.lock().expect("cache poisoned");
         inner.clock += 1;
         let clock = inner.clock;
-        let Some(entry) = inner.map.get_mut(&(token, block.offset)) else {
-            drop(inner);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return false;
+        let hit = match inner.map.get_mut(&(token, block.offset)) {
+            Some(entry) if entry.cols.contains(want) => {
+                entry.last_used = clock;
+                Some((Arc::clone(&entry.events), entry.cols.without(want)))
+            }
+            _ => None,
         };
-        if !entry.cols.contains(want) {
-            drop(inner);
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return false;
-        }
-        entry.last_used = clock;
-        let base = out.len();
-        out.extend_from_slice(&entry.events);
-        let extra = entry.cols.without(want);
         drop(inner);
-        clear_columns(&mut out[base..], extra);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        true
+        let counter = if hit.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
     /// Inserts (or replaces) the decoded events for `(token, block)`,
-    /// evicting least-recently-used entries until the budget holds.
+    /// evicting least-recently-used entries until the budget holds. The
+    /// shared copy is built before the lock is taken.
     fn store(&self, token: u64, block: &BlockDir, cols: ColumnSet, events: &[Event]) {
         let cost = (events.len() as u64) * (std::mem::size_of::<Event>() as u64) + ENTRY_OVERHEAD;
         if cost > self.budget {
             return;
         }
+        let events: Arc<[Event]> = events.into();
         let mut inner = self.inner.lock().expect("cache poisoned");
         inner.clock += 1;
         let clock = inner.clock;
@@ -208,7 +222,7 @@ impl BlockCache {
             (token, block.offset),
             Entry {
                 cols: cols.union(ColumnSet::IDENTITY),
-                events: events.into(),
+                events,
                 cost,
                 last_used: clock,
             },
@@ -296,8 +310,12 @@ impl<R: BlockRead + ?Sized> BlockRead for CachedBlockRead<'_, R> {
         cols: ColumnSet,
         out: &mut Vec<Event>,
     ) -> Result<usize, StoreError> {
-        if self.cache.lookup(self.token, block, cols, out) {
+        if let Some((events, extra)) = self.cache.lookup(self.token, block, cols) {
             st_obs::add("cache.hits", 1);
+            let _span = st_obs::span!("store.cache.hit");
+            let base = out.len();
+            out.extend_from_slice(&events);
+            clear_columns(&mut out[base..], extra);
             return Ok(0);
         }
         st_obs::add("cache.misses", 1);

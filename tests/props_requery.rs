@@ -9,7 +9,7 @@
 //!    the same container with the refinement as its filter;
 //! 2. **Hit ≡ miss ≡ full-load** — a pruned read served from the cache
 //!    equals the same read decoded cold, and both equal a full load
-//!    followed by `scan`;
+//!    followed by `scan`, at every decode worker count;
 //! 3. **The budget is a hard invariant** — resident bytes never exceed
 //!    the configured budget, under any decode sequence, and eviction
 //!    never corrupts what a later lookup returns;
@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use st_inspector::prelude::*;
-use st_inspector::query::pushdown::{read_pruned, ColumnSet};
+use st_inspector::query::pushdown::{read_pruned, read_pruned_par, ColumnSet};
 use st_inspector::query::Cmp;
 use st_inspector::store::{
     to_bytes_blocked, BlockCache, BlockRead, BytesSegment, CachedBlockRead, CountingSegment,
@@ -108,24 +108,40 @@ proptest! {
     }
 
     /// Law 2: a cache hit is byte-identical to a cache miss, and both
-    /// to a full load + scan — same events, same symbol ids.
+    /// to a full load + scan — same events, same symbol ids — at every
+    /// decode worker count: cold and warm reads at 1, 2 and 8 workers
+    /// return the sequential read's log and `PushdownStats` and leave
+    /// the cache with the same hit, miss and resident-byte totals.
     #[test]
     fn hit_equals_miss_equals_full_load(
         specs in log_strategy(5, 30),
         pred in predicate_strategy(),
         block_events in prop_oneof![Just(1usize), Just(4usize), Just(64usize)],
+        threads in prop_oneof![Just(1usize), Just(2usize), Just(8usize)],
     ) {
         let log = build_log(&specs);
         let image = to_bytes_blocked(&log, block_events).unwrap();
+        let (seq_reader, _) = counting_reader(image.clone());
+        let seq_cache = BlockCache::with_budget(DEFAULT_CACHE_BUDGET);
+        let seq_cached = CachedBlockRead::new(&seq_reader, &seq_cache, seq_cache.register());
         let (reader, _) = counting_reader(image);
         let cache = BlockCache::with_budget(DEFAULT_CACHE_BUDGET);
-        let token = cache.register();
-        let cached = CachedBlockRead::new(&reader, &cache, token);
+        let cached = CachedBlockRead::new(&reader, &cache, cache.register());
 
-        let cold = read_pruned(&cached, &pred, ColumnSet::ALL).unwrap();
+        for pass in ["cold", "warm"] {
+            let seq = read_pruned(&seq_cached, &pred, ColumnSet::ALL).unwrap();
+            let par = read_pruned_par(&cached, &pred, ColumnSet::ALL, threads).unwrap();
+            prop_assert_eq!(seq.log.cases(), par.log.cases(), "{} x{}", pass, threads);
+            prop_assert_eq!(
+                format!("{:?}", seq.stats),
+                format!("{:?}", par.stats),
+                "{} x{}", pass, threads
+            );
+            prop_assert_eq!(seq_cache.stats(), cache.stats(), "{} x{}", pass, threads);
+        }
+        prop_assert_eq!(cache.stats().hits, cache.stats().misses);
+
         let warm = read_pruned(&cached, &pred, ColumnSet::ALL).unwrap();
-        prop_assert_eq!(cold.log.cases(), warm.log.cases());
-
         let full = scan(&reader.read().unwrap(), &pred).to_event_log();
         prop_assert_eq!(full.cases(), warm.log.cases());
     }
