@@ -40,7 +40,9 @@
 //! (guarded by the `obs_overhead` bench test and the `bench_snapshot`
 //! "obs" section). Enabled: one heap path string per span plus an
 //! entry in a bounded event buffer ([`MAX_EVENTS`]; overflow is
-//! counted, never reallocated past the cap).
+//! counted, never reallocated past the cap). A long-lived process that
+//! only reads aggregates switches the buffer off with
+//! [`set_timeline`]`(false)`.
 
 #![warn(missing_docs)]
 
@@ -66,6 +68,7 @@ pub const MAX_EVENTS: usize = 1 << 18;
 pub const PATH_SEP: char = '/';
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
+static TIMELINE: AtomicBool = AtomicBool::new(true);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
@@ -83,6 +86,14 @@ pub fn set_enabled(on: bool) {
         let _ = EPOCH.get_or_init(Instant::now);
     }
     ENABLED.store(on, Ordering::Relaxed);
+}
+
+/// Turns the raw span timeline (the events behind [`chrome_since`]) on
+/// or off process-wide; it is on by default. Spans aggregate into the
+/// stage tree either way. While it is off, no span keeps an event, and
+/// none counts as dropped.
+pub fn set_timeline(on: bool) {
+    TIMELINE.store(on, Ordering::Relaxed);
 }
 
 /// Clears all collected state (aggregates, events, drop counts) for
@@ -276,7 +287,7 @@ impl Drop for Span {
             let agg = local.agg.entry(frame.path.clone()).or_default();
             agg.calls += 1;
             agg.wall_ns += dur_ns;
-            if local.events.len() < MAX_EVENTS {
+            if TIMELINE.load(Ordering::Relaxed) && local.events.len() < MAX_EVENTS {
                 if local.tid == 0 {
                     local.tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
                 }
@@ -520,6 +531,7 @@ mod tests {
     fn locked() -> std::sync::MutexGuard<'static, ()> {
         let g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(true);
+        set_timeline(true);
         reset();
         g
     }
@@ -623,6 +635,24 @@ mod tests {
         assert!(doc.contains("\"ph\":\"X\""));
         assert!(doc.contains("\"name\":\"traced\""));
         assert!(doc.contains("kind=x"));
+    }
+
+    #[test]
+    fn timeline_off_keeps_aggregates_and_no_events() {
+        let _g = locked();
+        set_timeline(false);
+        let m = mark();
+        {
+            let _s = span!("quiet");
+            add("n", 1);
+        }
+        let r = report_since(&m);
+        assert_eq!(r.stages[0].path, "quiet");
+        assert_eq!(r.stages[0].calls, 1);
+        assert_eq!(r.counter("n"), 1);
+        assert_eq!(r.dropped_events, 0);
+        assert!(!chrome_since(&m).contains("\"name\":\"quiet\""));
+        set_timeline(true);
     }
 
     #[test]

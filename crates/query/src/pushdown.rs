@@ -808,7 +808,13 @@ pub fn read_pruned_par<R: BlockRead + ?Sized>(
                         let _obs = obs_cx.attach();
                         let mut mine = Vec::new();
                         while let Some(unit) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
-                            mine.push((unit.items.start, decode_unit(unit)));
+                            let result = decode_unit(unit);
+                            if result.is_err() {
+                                // Every lower unit is already claimed, so
+                                // the first failure stays among the results.
+                                next.store(units.len(), Ordering::Relaxed);
+                            }
+                            mine.push((unit.items.start, result));
                         }
                         mine
                     })
@@ -1148,6 +1154,74 @@ mod tests {
             );
             assert_eq!(seq.log.cases(), par.log.cases(), "{expr}");
         }
+    }
+
+    /// Fails every block it is asked for: the store's first block only
+    /// once a third decode call arrives or `patience` runs out, every
+    /// other block at once. A route that keeps pulling units after a
+    /// failure makes that third call; one that stops makes at most two.
+    struct Failing {
+        inner: SegmentReader,
+        first: u64,
+        calls: std::sync::Mutex<usize>,
+        call: std::sync::Condvar,
+    }
+
+    impl BlockRead for Failing {
+        fn strings(&self) -> &[String] {
+            self.inner.strings()
+        }
+        fn directory(&self) -> Option<&[st_store::CaseDir]> {
+            BlockRead::directory(&self.inner)
+        }
+        fn decode_block(
+            &self,
+            block: &st_store::BlockDir,
+            _cols: ColumnSet,
+            _out: &mut Vec<Event>,
+        ) -> Result<usize, StoreError> {
+            let mut calls = self.calls.lock().unwrap();
+            *calls += 1;
+            self.call.notify_all();
+            if block.offset != self.first {
+                return Err(st_store::CorruptKind::Truncated { what: "later" }.into());
+            }
+            let patience = std::time::Duration::from_millis(300);
+            drop(
+                self.call
+                    .wait_timeout_while(calls, patience, |calls| *calls < 3)
+                    .unwrap(),
+            );
+            Err(st_store::CorruptKind::Truncated { what: "first" }.into())
+        }
+        fn bytes_read(&self) -> u64 {
+            self.inner.bytes_read()
+        }
+    }
+
+    #[test]
+    fn parallel_decode_stops_at_a_failure_and_reports_the_first() {
+        let image = to_bytes_blocked(&one_case_sample(), 8).unwrap();
+        let inner = SegmentReader::from_source(Arc::new(BytesSegment::new(image))).unwrap();
+        let first = inner.directory()[0].blocks[0].offset;
+        let r = Failing {
+            inner,
+            first,
+            calls: Default::default(),
+            call: Default::default(),
+        };
+        // Unit 0 fails after unit 1 has: the error is still unit 0's,
+        // and no unit past 1 is decoded once unit 1 has failed.
+        let err = read_pruned_par(&r, &Predicate::True, ColumnSet::ALL, 2).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StoreError::Corrupt(st_store::CorruptKind::Truncated { what: "first" })
+            ),
+            "{err:?}"
+        );
+        let calls = *r.calls.lock().unwrap();
+        assert!(calls <= 2, "{calls} decode calls after a failure");
     }
 
     #[test]

@@ -80,7 +80,9 @@ pub struct ServeConfig {
     /// thread off the request path (used by the CLI; tests drive
     /// shutdown through the API or `POST /shutdown`).
     pub handle_signals: bool,
-    /// Enable st-obs at startup so `/metrics` has data.
+    /// Enable st-obs at startup so `/metrics` has data. If collection
+    /// was off, the daemon turns it on for aggregates only, with no
+    /// span timeline ([`st_obs::set_timeline`]).
     pub metrics: bool,
 }
 
@@ -251,7 +253,11 @@ impl Daemon {
     /// Binds `config.addr` and spawns the accept loop. Returns once the
     /// socket is listening; the [`Handle`] controls the daemon's life.
     pub fn start(config: ServeConfig) -> std::io::Result<Handle> {
-        if config.metrics {
+        if config.metrics && !st_obs::enabled() {
+            // `/metrics` reads aggregates only: without a caller that
+            // collects a timeline, the daemon keeps none, which would
+            // otherwise grow to `MAX_EVENTS` span events over its life.
+            st_obs::set_timeline(false);
             st_obs::set_enabled(true);
         }
         let listener = TcpListener::bind(&config.addr)?;
